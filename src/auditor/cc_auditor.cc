@@ -162,10 +162,14 @@ CCAuditor::monitorCache(const AuditKey& key, unsigned slot,
     st->cacheTracker = std::make_unique<ConflictMissTracker>(
         l2.geometry().numBlocks(), params);
     st->vectors = std::make_unique<ConflictVectorRegisters>();
+    // The tracker is owned by the slot state, so its listener must not
+    // own that state back: a shared_ptr here would be a cycle that
+    // leaks both.  The tracker dies with the state, so the raw pointer
+    // cannot dangle.
     st->cacheTracker->addListener(
-        [st](const ConflictMissEvent& ev) {
-            if (st->active)
-                st->vectors->record(ev);
+        [raw = st.get()](const ConflictMissEvent& ev) {
+            if (raw->active)
+                raw->vectors->record(ev);
         });
     l2.setMonitor(st->cacheTracker.get());
 }
@@ -187,10 +191,11 @@ CCAuditor::monitorCacheIdeal(const AuditKey& key, unsigned slot,
     st->idealTracker = std::make_unique<LruStackTracker>(
         l2.geometry().numBlocks());
     st->vectors = std::make_unique<ConflictVectorRegisters>();
+    // Non-owning for the same reason as in monitorCache.
     st->idealTracker->addListener(
-        [st](const ConflictMissEvent& ev) {
-            if (st->active)
-                st->vectors->record(ev);
+        [raw = st.get()](const ConflictMissEvent& ev) {
+            if (raw->active)
+                raw->vectors->record(ev);
         });
     l2.setMonitor(st->idealTracker.get());
 }

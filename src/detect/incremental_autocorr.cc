@@ -15,7 +15,6 @@ IncrementalAutocorrelation::IncrementalAutocorrelation(
         fatal("IncrementalAutocorrelation: maxLag must be >= 2");
     if (capacity_ == 0)
         fatal("IncrementalAutocorrelation: capacity must be > 0");
-    ring_.resize(capacity_, 0.0);
     sumXY_.assign(maxLag_ + 1, 0.0);
     firstPrefix_.assign(maxLag_ + 1, 0.0);
     lastPrefix_.assign(maxLag_ + 1, 0.0);
@@ -25,13 +24,18 @@ void
 IncrementalAutocorrelation::evictFront()
 {
     const double y = ring_[head_];
+    head_ = (head_ + 1) % capacity_;
+    --size_;
+    ++evictions_;
+    if (y == 0.0)
+        return; // every product with a zero sample is zero
     // y participated in sumXY[p] as y * x_p for every retained lag.
-    // at(lag) ascends from head_+1, so the ring splits into at most
-    // two contiguous segments — walk raw pointers instead of paying a
-    // modulo per lag (this loop runs once per evicted sample).
-    const std::size_t top = std::min(maxLag_, size_ - 1);
+    // at(lag - 1) ascends from the new head_, so the ring splits into
+    // at most two contiguous segments — walk raw pointers instead of
+    // paying a modulo per lag (this loop runs once per evicted sample).
+    const std::size_t top = std::min(maxLag_, size_);
     std::size_t lag = 1;
-    std::size_t idx = head_ + 1;
+    std::size_t idx = head_;
     while (lag <= top) {
         if (idx >= capacity_)
             idx -= capacity_;
@@ -47,9 +51,6 @@ IncrementalAutocorrelation::evictFront()
     sumXY_[0] -= y * y;
     sum_ -= y;
     sumSq_ -= y * y;
-    head_ = (head_ + 1) % capacity_;
-    --size_;
-    ++evictions_;
 }
 
 void
@@ -57,6 +58,20 @@ IncrementalAutocorrelation::push(double x)
 {
     if (size_ == capacity_)
         evictFront();
+    if (x != 0.0)
+        accumulate(x);
+    // Storage grows with use: head_ stays 0 until the first eviction,
+    // which only happens once the ring has reached capacity.
+    if (ring_.size() < capacity_)
+        ring_.push_back(x);
+    else
+        ring_[(head_ + size_) % capacity_] = x;
+    ++size_;
+}
+
+void
+IncrementalAutocorrelation::accumulate(double x)
+{
     // x pairs with the last min(maxLag, size) samples: at(size_-lag)
     // descends from the newest sample, again at most two contiguous
     // ring segments.
@@ -74,8 +89,6 @@ IncrementalAutocorrelation::push(double x)
         lag += run;
     }
     sumXY_[0] += x * x;
-    ring_[(head_ + size_) % capacity_] = x;
-    ++size_;
     sum_ += x;
     sumSq_ += x * x;
 }

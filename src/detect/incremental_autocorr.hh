@@ -25,6 +25,12 @@
  * every maintained sum is an exact integer, so the only deviation
  * from a full recompute is the final-expression rounding —
  * property-tested within 1e-9 against the reference correlogram.
+ *
+ * Pushing or evicting an exact zero skips the O(maxLag) lag update:
+ * adding a ±0 product leaves every finite sum bit-unchanged, so a
+ * sparse label series pays only for its ones.  The ring grows with
+ * use up to `capacity` (the RingBuffer policy), so a short audit
+ * never touches the full window's storage.
  */
 
 #ifndef CCHUNTER_DETECT_INCREMENTAL_AUTOCORR_HH
@@ -50,7 +56,8 @@ class IncrementalAutocorrelation
                                std::size_t capacity);
 
     /** Append a sample, evicting the oldest once at capacity.
-     *  O(min(maxLag, size)). */
+     *  O(min(maxLag, size)); O(1) when both the pushed and the evicted
+     *  sample are exactly zero. */
     void push(double x);
 
     std::size_t size() const { return size_; }
@@ -77,6 +84,8 @@ class IncrementalAutocorrelation
         return ring_[(head_ + i) % capacity_];
     }
     void evictFront();
+    /** Add x's lag products with the retained window (x != 0). */
+    void accumulate(double x);
 
     std::size_t maxLag_ = 0;
     std::size_t capacity_ = 0;
@@ -85,7 +94,7 @@ class IncrementalAutocorrelation
     std::uint64_t evictions_ = 0;
     double sum_ = 0.0;   //!< S  = sum of the window
     double sumSq_ = 0.0; //!< Q  = sum of squares
-    std::vector<double> ring_;
+    std::vector<double> ring_; //!< grows to capacity, then wraps
     std::vector<double> sumXY_; //!< raw lag products, 0..maxLag
 
     // Query-time prefix scans (first/last boundary sums); members so

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <bit>
 #include <limits>
 
 #include "util/logging.hh"
@@ -16,8 +17,11 @@ Cache::Cache(std::string name, CacheGeometry geometry)
         fatal("Cache ", name_, ": associativity must be positive");
     if (geom_.sizeBytes % (geom_.lineSize * geom_.associativity) != 0)
         fatal("Cache ", name_, ": size not divisible into sets");
-    if (geom_.numSets() == 0)
+    numSets_ = geom_.numSets();
+    if (numSets_ == 0)
         fatal("Cache ", name_, ": zero sets");
+    lineShift_ = static_cast<unsigned>(std::countr_zero(geom_.lineSize));
+    setsPow2_ = std::has_single_bit(numSets_);
     blocks_.assign(geom_.numBlocks(), Block{});
 }
 

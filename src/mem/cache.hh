@@ -125,11 +125,13 @@ class Cache
         return addr & ~static_cast<Addr>(geom_.lineSize - 1);
     }
 
-    /** Set index for an address. */
+    /** Set index for an address: a shift and a mask (a modulo when
+     *  the set count is not a power of two), no division per access. */
     std::size_t
     setIndex(Addr addr) const
     {
-        return (addr / geom_.lineSize) % geom_.numSets();
+        const Addr block = addr >> lineShift_;
+        return setsPow2_ ? block & (numSets_ - 1) : block % numSets_;
     }
 
     /** Lifetime statistics. */
@@ -151,6 +153,9 @@ class Cache
 
     std::string name_;
     CacheGeometry geom_;
+    unsigned lineShift_ = 0;   //!< log2(lineSize)
+    std::size_t numSets_ = 0;
+    bool setsPow2_ = false;
     std::vector<Block> blocks_; //!< set-major storage
     std::uint64_t useCounter_ = 0;
     CacheMonitor* monitor_ = nullptr;

@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace cchunter
@@ -11,16 +13,25 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
     if (when < now_)
         panic("EventQueue: scheduling into the past (", when, " < ",
               now_, ")");
-    queue_.push(Entry{when, prio, nextSeq_++, std::move(cb)});
+    queue_.push_back(Entry{when, prio, nextSeq_++, std::move(cb)});
+    std::push_heap(queue_.begin(), queue_.end(), Later{});
+}
+
+EventQueue::Entry
+EventQueue::popNext()
+{
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    Entry e = std::move(queue_.back());
+    queue_.pop_back();
+    return e;
 }
 
 std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     std::uint64_t executed = 0;
-    while (!queue_.empty() && queue_.top().when < until) {
-        Entry e = queue_.top();
-        queue_.pop();
+    while (!queue_.empty() && queue_.front().when < until) {
+        Entry e = popNext();
         now_ = e.when;
         e.cb();
         ++executed;
@@ -35,8 +46,7 @@ EventQueue::step()
 {
     if (queue_.empty())
         return false;
-    Entry e = queue_.top();
-    queue_.pop();
+    Entry e = popNext();
     now_ = e.when;
     e.cb();
     return true;

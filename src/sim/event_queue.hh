@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "util/types.hh"
@@ -63,6 +62,8 @@ class EventQueue
     bool step();
 
   private:
+    /** Heap entry; popped by moving it out, so a callback is never
+     *  copied once scheduled. */
     struct Entry
     {
         Tick when;
@@ -84,7 +85,10 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+    /** Remove and return the earliest entry. */
+    Entry popNext();
+
+    std::vector<Entry> queue_; //!< binary heap ordered by Later
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
 };

@@ -1,6 +1,7 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
+#include <atomic>
 
 #include "sim/trace.hh"
 #include "util/logging.hh"
@@ -41,8 +42,10 @@ Machine::multiplier(unsigned core)
 Process&
 Machine::addProcess(std::unique_ptr<Workload> workload, ContextId pinned)
 {
-    static ProcessId next_pid = 1;
-    auto process = std::make_unique<Process>(next_pid++,
+    // Shard workers build machines concurrently; pids stay unique and
+    // increasing within each machine.
+    static std::atomic<ProcessId> next_pid{1};
+    auto process = std::make_unique<Process>(next_pid.fetch_add(1),
                                              std::move(workload), pinned);
     return sched_.addProcess(std::move(process));
 }
@@ -98,18 +101,36 @@ Machine::assignContext(ContextId ctx, Process* process, Tick now)
     scheduleStep(ctx, begin);
 }
 
+namespace
+{
+
+static_assert(sizeof(ContextId) == 1, "step keys pack the context in 8 bits");
+
+/** A step event's context and generation in one word, so the
+ *  callback {this, key} fits std::function's inline buffer and
+ *  scheduling a step never allocates.  Generations compare modulo
+ *  2^56. */
+std::uint64_t
+stepKey(ContextId ctx, std::uint64_t generation)
+{
+    return generation << 8 | ctx;
+}
+
+} // namespace
+
 void
 Machine::scheduleStep(ContextId ctx, Tick when)
 {
-    const std::uint64_t gen = contexts_[ctx].generation;
-    eq_.schedule(when, [this, ctx, gen] { step(ctx, gen); });
+    const std::uint64_t key = stepKey(ctx, contexts_[ctx].generation);
+    eq_.schedule(when, [this, key] { step(key); });
 }
 
 void
-Machine::step(ContextId ctx, std::uint64_t generation)
+Machine::step(std::uint64_t key)
 {
+    const auto ctx = static_cast<ContextId>(key);
     ContextState& cs = contexts_[ctx];
-    if (cs.generation != generation)
+    if (stepKey(ctx, cs.generation) != key)
         return; // context was re-assigned; this step is stale
     Process* p = cs.running;
     if (!p || p->halted())

@@ -90,7 +90,7 @@ class Machine
     void assignContext(ContextId ctx, Process* process, Tick now);
 
     void scheduleStep(ContextId ctx, Tick when);
-    void step(ContextId ctx, std::uint64_t generation);
+    void step(std::uint64_t key);
     Tick executeAction(ContextId ctx, Process& process,
                        const Action& action);
 

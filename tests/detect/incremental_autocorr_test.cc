@@ -6,7 +6,8 @@
  * (autocorrelogramNaive over the current window contents) within 1e-9
  * at every lag, across randomized append/evict schedules — window
  * filling, wrap-around, long steady-state streaming — for both binary
- * 0/1 label series (the production input) and arbitrary real series.
+ * 0/1 label series (the production input) and arbitrary real series,
+ * including real series with exact zeros (the skipped updates).
  */
 
 #include <gtest/gtest.h>
@@ -128,6 +129,50 @@ TEST(IncrementalAutocorrTest, MatchesReferenceOnGaussianSeries)
             window.pop_front();
         if (i % 11 == 0)
             expectMatchesReference(inc, window, max_lag, "gaussian");
+    }
+}
+
+TEST(IncrementalAutocorrTest, MatchesReferenceWithExactZeros)
+{
+    // Exact zeros take the skip path on push and on eviction; the
+    // real values around them keep every lag sum non-trivial.
+    const std::size_t max_lag = 12;
+    const std::size_t capacity = 40;
+    IncrementalAutocorrelation inc(max_lag, capacity);
+    std::deque<double> window;
+    Rng rng(36);
+    for (int i = 0; i < 400; ++i) {
+        const double u = rng.nextDouble();
+        const double x = u < 0.4   ? 0.0
+                         : u < 0.5 ? -0.0
+                                   : rng.nextGaussian(0.0, 1.0);
+        inc.push(x);
+        window.push_back(x);
+        if (window.size() > capacity)
+            window.pop_front();
+        if (i % 5 == 0)
+            expectMatchesReference(inc, window, max_lag, "zeros");
+    }
+}
+
+TEST(IncrementalAutocorrTest, MatchesReferenceFromGrowthIntoWrapAround)
+{
+    // Storage grows with use; check every push from the empty ring
+    // through the first eviction and twice around the wrapped ring.
+    const std::size_t max_lag = 16;
+    const std::size_t capacity = 37;
+    IncrementalAutocorrelation inc(max_lag, capacity);
+    std::deque<double> window;
+    Rng rng(37);
+    for (std::size_t i = 0; i < 3 * capacity; ++i) {
+        const double x = rng.nextDouble() < 0.5 ? 0.0 : 1.0;
+        inc.push(x);
+        window.push_back(x);
+        if (window.size() > capacity)
+            window.pop_front();
+        expectMatchesReference(inc, window, max_lag, "growth-wrap");
+        EXPECT_EQ(inc.size(), window.size());
+        EXPECT_EQ(inc.evictions(), i + 1 - window.size());
     }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <ostream>
 #include <unordered_map>
 #include <vector>
 
@@ -57,19 +58,37 @@ class ReferenceCache
     std::vector<std::list<Addr>> lru_;
 };
 
-class CacheFuzzTest : public ::testing::TestWithParam<std::uint64_t>
+/** One fuzz run: the stream's seed and the cache's set count. */
+struct CacheFuzzCase
+{
+    std::uint64_t seed;
+    std::size_t sets;
+};
+
+/** Names a run by its seed, plus its set count when that is not the
+ *  original 32 (ctest names value-parameterized tests by this). */
+void
+PrintTo(const CacheFuzzCase& c, std::ostream* os)
+{
+    *os << c.seed;
+    if (c.sets != 32)
+        *os << "_" << c.sets << "sets";
+}
+
+class CacheFuzzTest : public ::testing::TestWithParam<CacheFuzzCase>
 {
 };
 
 TEST_P(CacheFuzzTest, MatchesReferenceOnRandomStreams)
 {
-    const CacheGeometry geom{8192, 4, 64}; // 32 sets x 4 ways
+    const CacheGeometry geom{GetParam().sets * 4 * 64, 4, 64};
     Cache cache("fuzz", geom);
+    ASSERT_EQ(geom.numSets(), GetParam().sets);
     ReferenceCache ref(geom.numSets(), geom.associativity,
                        geom.lineSize);
-    Rng rng(GetParam());
+    Rng rng(GetParam().seed);
     for (int i = 0; i < 50000; ++i) {
-        // 256 lines over 32 sets: plenty of conflicts.
+        // 256 lines over 24-32 sets: plenty of conflicts.
         const Addr addr = rng.nextBelow(256) * 64 + rng.nextBelow(64);
         const bool model_hit = cache.access(addr, 0, i).hit;
         const bool ref_hit = ref.access(addr);
@@ -78,8 +97,12 @@ TEST_P(CacheFuzzTest, MatchesReferenceOnRandomStreams)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheFuzzTest,
-                         ::testing::Values(11, 22, 33, 44));
+// 32 sets take the mask path of Cache::setIndex, 24 the modulo path.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, CacheFuzzTest,
+    ::testing::Values(CacheFuzzCase{11, 32}, CacheFuzzCase{22, 32},
+                      CacheFuzzCase{33, 32}, CacheFuzzCase{44, 32},
+                      CacheFuzzCase{55, 24}));
 
 class HistogramBufferFuzzTest
     : public ::testing::TestWithParam<std::uint64_t>

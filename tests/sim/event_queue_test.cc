@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -87,6 +88,71 @@ TEST(EventQueueTest, StepExecutesOne)
     EXPECT_EQ(eq.now(), 5u);
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(eq.step());
+}
+
+TEST(EventQueueTest, ManySameKeyEventsFireInScheduleOrder)
+{
+    // A binary heap is not stable; the insertion sequence alone must
+    // order hundreds of equal (tick, priority) keys, interleaved with
+    // other priorities and later ticks.
+    // Groups in firing order: tick 10 at Scheduler, Default and Late
+    // priority, then tick 20; group g gets every strides[g]-th index.
+    const Tick ticks[] = {10, 10, 10, 20};
+    const EventPriority prios[] = {
+        EventPriority::Scheduler, EventPriority::Default,
+        EventPriority::Late, EventPriority::Default};
+    const int strides[] = {5, 1, 3, 7};
+
+    EventQueue eq;
+    std::vector<std::pair<int, int>> order;
+    for (int i = 0; i < 300; ++i) {
+        for (int g = 3; g >= 0; --g) {
+            if (i % strides[g] == 0)
+                eq.schedule(ticks[g],
+                            [&order, g, i] { order.emplace_back(g, i); },
+                            prios[g]);
+        }
+    }
+    eq.runUntil(100);
+
+    std::vector<std::pair<int, int>> expected;
+    for (int g = 0; g < 4; ++g)
+        for (int i = 0; i < 300; i += strides[g])
+            expected.emplace_back(g, i);
+    EXPECT_EQ(order, expected);
+}
+
+/** Callable that counts how often it is copied. */
+struct CopyCounted
+{
+    int* copies;
+    int* calls;
+
+    CopyCounted(int* copies_, int* calls_)
+        : copies(copies_), calls(calls_)
+    {
+    }
+    CopyCounted(const CopyCounted& other)
+        : copies(other.copies), calls(other.calls)
+    {
+        ++*copies;
+    }
+    CopyCounted(CopyCounted&&) = default;
+
+    void operator()() const { ++*calls; }
+};
+
+TEST(EventQueueTest, PoppingMovesCallbacksOutWithoutCopying)
+{
+    EventQueue eq;
+    int copies = 0;
+    int calls = 0;
+    for (Tick t = 0; t < 50; ++t)
+        eq.schedule(50 - t, CopyCounted(&copies, &calls));
+    eq.step();
+    eq.runUntil(100);
+    EXPECT_EQ(calls, 50);
+    EXPECT_EQ(copies, 0);
 }
 
 TEST(EventQueueTest, ReturnsExecutedCount)

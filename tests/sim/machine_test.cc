@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "sim/machine.hh"
@@ -266,6 +268,42 @@ TEST(MachineTest, MigrationMovesFloatingProcesses)
         if (c != raw->scheduleEvents.front())
             moved = true;
     EXPECT_TRUE(moved);
+}
+
+TEST(MachineTest, ConcurrentMachinesGetUniqueIncreasingPids)
+{
+    // Shard workers build machines on several threads at once.  The
+    // daemon labels a conflict by comparing the two pids of one
+    // machine, so pids must never repeat or run backwards there.
+    constexpr int threads = 4;
+    constexpr int machinesPerThread = 8;
+    constexpr int processesPerMachine = 32;
+    std::vector<std::vector<ProcessId>> pids(threads * machinesPerThread);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&pids, t] {
+            for (int k = 0; k < machinesPerThread; ++k) {
+                Machine m(smallMachine());
+                auto& mine = pids[t * machinesPerThread + k];
+                for (int p = 0; p < processesPerMachine; ++p)
+                    mine.push_back(
+                        m.addProcess(std::make_unique<SpinWorkload>())
+                            .pid());
+            }
+        });
+    }
+    for (auto& w : workers)
+        w.join();
+
+    std::set<ProcessId> all;
+    for (const auto& mine : pids) {
+        for (std::size_t i = 1; i < mine.size(); ++i)
+            EXPECT_LT(mine[i - 1], mine[i]);
+        all.insert(mine.begin(), mine.end());
+    }
+    EXPECT_EQ(all.size(),
+              std::size_t{threads * machinesPerThread *
+                          processesPerMachine});
 }
 
 TEST(MachineTest, PinnedToInvalidContextThrows)
