@@ -29,16 +29,23 @@ main(int argc, char** argv)
     opts.quantum = 25000000;
     opts.quanta = cfg.getUint("quanta", 6);
     opts.seed = cfg.getUint("seed", 1);
-    opts.trainWindowTicks = opts.quantum * opts.quanta;
+    const Tick window = opts.quantum * opts.quanta;
 
     banner("Ablation: detector parameters",
            "Likelihood-threshold margin and delta-t sensitivity on the "
            "memory-bus channel\n(one simulation, many analyses).");
 
-    const BusScenarioResult covert = runBusScenario(opts);
-    ScenarioOptions benign_opts = opts;
-    const BenignScenarioResult benign =
-        runBenignPair("mailserver", "mailserver", benign_opts);
+    AuditRun covert(auditOf(AuditedWorkload::Bus, opts));
+    std::vector<Tick> locks;
+    covert.machine().mem().bus().addLockListener(
+        [&locks, window](Tick when, ContextId) {
+            if (when < window)
+                locks.push_back(when);
+        });
+    covert.run();
+    AuditRun benign(benignAuditOf("mailserver", "mailserver",
+                                  BenignAuditUnits::BusDivider, opts));
+    benign.run();
 
     // (1) Likelihood threshold sweep.
     TableWriter t1({"threshold", "covert channel", "mailserver pair",
@@ -47,10 +54,10 @@ main(int argc, char** argv)
         CCHunterParams params;
         params.clustering.burst.likelihoodThreshold = threshold;
         CCHunter hunter(params);
-        const auto covert_v =
-            hunter.analyzeContention(covert.quantaHistograms);
-        const auto benign_v =
-            hunter.analyzeContention(benign.busQuanta);
+        const auto covert_v = hunter.analyzeContention(
+            covert.daemon().contentionQuanta(0));
+        const auto benign_v = hunter.analyzeContention(
+            benign.daemon().contentionQuanta(0));
         const bool ok = covert_v.detected && !benign_v.detected;
         t1.addRow({fmtDouble(threshold, 1),
                    covert_v.detected ? "DETECTED" : "missed",
@@ -63,8 +70,8 @@ main(int argc, char** argv)
     // (2) Delta-t sweep over the recorded lock train.
     std::printf("\n(2) delta-t sweep (paper: 100k cycles from the "
                 "alpha-tempered rule):\n");
-    EventTrain train = covert.eventTrain;
-    train.setWindow(0, opts.trainWindowTicks);
+    EventTrain train = eventTrainOf(std::move(locks));
+    train.setWindow(0, window);
     TableWriter t2({"delta-t (cycles)", "burst peak bin",
                     "likelihood ratio", "significant"});
     BurstDetector detector;

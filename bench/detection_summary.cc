@@ -30,41 +30,36 @@ main(int argc, char** argv)
     unsigned detected = 0, channels = 0, alarms = 0;
     std::size_t benign_checks = 0;
 
-    {
-        const auto r = runBusScenario(opts);
+    const auto contentionRow = [&](AuditedWorkload workload,
+                                   const char* scenario,
+                                   const char* resource) {
+        const OnlineAuditResult r =
+            runOnlineAudit(auditOf(workload, opts));
+        const ContentionVerdict& v = r.finalVerdicts[0].contention;
         ++channels;
-        detected += r.verdict.detected;
-        t.addRow({"covert: bus-lock channel", "memory bus/QPI",
-                  "LR=" + fmtDouble(
-                      r.verdict.combined.likelihoodRatio, 3) +
-                      " peak-bin=" + std::to_string(
-                          r.verdict.combined.burstPeakBin),
-                  r.verdict.detected ? "DETECTED" : "missed",
-                  fmtDouble(r.bitErrorRate, 3)});
-    }
+        detected += v.detected;
+        t.addRow({scenario, resource,
+                  "LR=" + fmtDouble(v.combined.likelihoodRatio, 3) +
+                      " peak-bin=" +
+                      std::to_string(v.combined.burstPeakBin),
+                  v.detected ? "DETECTED" : "missed",
+                  fmtDouble(r.channel.wireBitErrorRate, 3)});
+    };
+    contentionRow(AuditedWorkload::Bus, "covert: bus-lock channel",
+                  "memory bus/QPI");
+    contentionRow(AuditedWorkload::Divider,
+                  "covert: SMT divider channel", "integer divider");
     {
-        const auto r = runDividerScenario(opts);
+        const OnlineAuditResult r =
+            runOnlineAudit(auditOf(AuditedWorkload::Cache, opts));
+        const OscillationVerdict& v = r.finalVerdicts[0].oscillation;
         ++channels;
-        detected += r.verdict.detected;
-        t.addRow({"covert: SMT divider channel", "integer divider",
-                  "LR=" + fmtDouble(
-                      r.verdict.combined.likelihoodRatio, 3) +
-                      " peak-bin=" + std::to_string(
-                          r.verdict.combined.burstPeakBin),
-                  r.verdict.detected ? "DETECTED" : "missed",
-                  fmtDouble(r.bitErrorRate, 3)});
-    }
-    {
-        const auto r = runCacheScenario(opts);
-        ++channels;
-        detected += r.verdict.detected;
+        detected += v.detected;
         t.addRow({"covert: prime+probe channel", "shared L2 cache",
-                  "lag=" + std::to_string(
-                      r.verdict.analysis.dominantLag) +
-                      " peak=" + fmtDouble(
-                          r.verdict.analysis.dominantValue, 3),
-                  r.verdict.detected ? "DETECTED" : "missed",
-                  fmtDouble(r.bitErrorRate, 3)});
+                  "lag=" + std::to_string(v.analysis.dominantLag) +
+                      " peak=" + fmtDouble(v.analysis.dominantValue, 3),
+                  v.detected ? "DETECTED" : "missed",
+                  fmtDouble(r.channel.wireBitErrorRate, 3)});
     }
 
     ScenarioOptions benign = opts;
@@ -74,20 +69,24 @@ main(int argc, char** argv)
     for (const auto& [a, b] : falseAlarmPairs()) {
         if (pair_count++ >= cfg.getUint("pairs", 5))
             break;
-        const auto r = runBenignPair(a, b, benign);
+        // Bus + divider, then the L2: the two-slot auditor limit.
+        const OnlineAuditResult cr = runOnlineAudit(
+            benignAuditOf(a, b, BenignAuditUnits::BusDivider, benign));
+        const ContentionVerdict& bus = cr.finalVerdicts[0].contention;
+        const ContentionVerdict& div = cr.finalVerdicts[1].contention;
+        const OscillationVerdict cache =
+            runOnlineAudit(
+                benignAuditOf(a, b, BenignAuditUnits::CacheBus, benign))
+                .finalVerdicts[0]
+                .oscillation;
         benign_checks += 3;
-        alarms += r.busVerdict.detected + r.dividerVerdict.detected +
-                  r.cacheVerdict.detected;
+        alarms += bus.detected + div.detected + cache.detected;
         t.addRow({"benign: " + a + "+" + b, "bus/divider/L2",
-                  "LR=" + fmtDouble(
-                      r.busVerdict.combined.likelihoodRatio, 2) +
-                      "/" + fmtDouble(
-                          r.dividerVerdict.combined.likelihoodRatio,
-                          2) +
-                      " peak=" + fmtDouble(
-                          r.cacheVerdict.analysis.dominantValue, 2),
-                  (r.busVerdict.detected || r.dividerVerdict.detected ||
-                   r.cacheVerdict.detected)
+                  "LR=" + fmtDouble(bus.combined.likelihoodRatio, 2) +
+                      "/" + fmtDouble(div.combined.likelihoodRatio, 2) +
+                      " peak=" +
+                      fmtDouble(cache.analysis.dominantValue, 2),
+                  (bus.detected || div.detected || cache.detected)
                       ? "FALSE ALARM"
                       : "clean",
                   "-"});

@@ -53,16 +53,18 @@ main(int argc, char** argv)
     for (const auto& pt : points) {
         ScenarioOptions o = base;
         o.busEvasionPeriod = pt.decoyPeriod;
-        const BusScenarioResult r = runBusScenario(o);
-        const double lr =
-            std::max(r.verdict.combined.likelihoodRatio,
-                     r.verdict.recurrence.maxLikelihoodRatio);
+        AuditRun run(auditOf(AuditedWorkload::Bus, o));
+        run.run();
+        const OnlineAuditResult r = run.result();
+        const ContentionVerdict& v = r.finalVerdicts[0].contention;
+        const double lr = std::max(v.combined.likelihoodRatio,
+                                   v.recurrence.maxLikelihoodRatio);
+        const double ber = r.channel.wireBitErrorRate;
         t.addRow({pt.name,
-                  fmtInt(static_cast<long long>(r.lockEvents)),
-                  fmtDouble(lr, 3),
-                  r.verdict.detected ? "yes" : "no",
-                  fmtDouble(r.bitErrorRate, 3),
-                  r.bitErrorRate < 0.1 ? "yes" : "NO"});
+                  fmtInt(static_cast<long long>(
+                      run.machine().mem().bus().locks())),
+                  fmtDouble(lr, 3), v.detected ? "yes" : "no",
+                  fmtDouble(ber, 3), ber < 0.1 ? "yes" : "NO"});
     }
     t.render(std::cout);
     std::printf("\nthe trade-off the paper predicts: decoys corrupt "

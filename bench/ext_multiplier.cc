@@ -34,10 +34,13 @@ main(int argc, char** argv)
            "evaluation, caught by the\nsame recurrent-burst pipeline "
            "(multiplier wait conflicts, dt = 300 cycles).");
 
-    const DividerScenarioResult r = runMultiplierScenario(opts);
+    AuditRun run(auditOf(AuditedWorkload::Multiplier, opts));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    const ContentionVerdict& verdict = r.finalVerdicts[0].contention;
 
     Histogram merged(128);
-    for (const auto& h : r.quantaHistograms)
+    for (const auto& h : run.daemon().contentionQuanta(0))
         merged.merge(h);
     printDensityHistogram(merged,
                           "multiplier contention density "
@@ -45,17 +48,19 @@ main(int argc, char** argv)
                           "wait conflicts per dt", 120);
 
     TableWriter t({"metric", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString().substr(0, 64)});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", run.payload().toString()});
+    t.addRow({"decoded", run.spy()->decoded().toString().substr(0, 64)});
+    t.addRow({"bit error rate",
+              fmtDouble(r.channel.wireBitErrorRate, 4)});
     t.addRow({"conflict events",
-              fmtInt(static_cast<long long>(r.conflictEvents))});
+              fmtInt(static_cast<long long>(
+                  run.machine().multiplier(0).totalConflicts()))});
     t.addRow({"burst peak bin",
               fmtInt(static_cast<long long>(
-                  r.verdict.combined.burstPeakBin))});
+                  verdict.combined.burstPeakBin))});
     t.addRow({"likelihood ratio",
-              fmtDouble(r.verdict.combined.likelihoodRatio, 3)});
-    t.addRow({"verdict", r.verdict.detected ? "DETECTED" : "missed"});
+              fmtDouble(verdict.combined.likelihoodRatio, 3)});
+    t.addRow({"verdict", verdict.detected ? "DETECTED" : "missed"});
     t.render(std::cout);
 
     std::printf("\ncontrol: a benign divide/multiply-heavy pair on the "
@@ -64,12 +69,12 @@ main(int argc, char** argv)
     // (Benign proxies route arithmetic through the divider only, so
     //  the cleanliness check reuses the divider verdict as the
     //  equivalent exercised path.)
-    const BenignScenarioResult benign =
-        runBenignPair("bzip2", "h264ref", opts);
+    const bool benignAlarm =
+        runOnlineAudit(benignAuditOf("bzip2", "h264ref",
+                                     BenignAuditUnits::BusDivider, opts))
+            .finalVerdicts[1]
+            .contention.detected;
     std::printf("benign bzip2+h264ref divider verdict: %s\n",
-                benign.dividerVerdict.detected ? "FALSE ALARM"
-                                               : "clean");
-    return (r.verdict.detected && !benign.dividerVerdict.detected)
-               ? 0
-               : 1;
+                benignAlarm ? "FALSE ALARM" : "clean");
+    return (verdict.detected && !benignAlarm) ? 0 : 1;
 }

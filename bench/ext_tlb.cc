@@ -55,26 +55,25 @@ main(int argc, char** argv)
                     {true, false, true, true, false, false, true,
                      false});
             }
-            const TlbScenarioResult r = runTlbScenario(opts);
-            allDetected = allDetected && r.verdict.detected;
+            const OnlineAuditResult r =
+                runOnlineAudit(auditOf(AuditedWorkload::Tlb, opts));
+            const OscillationVerdict& v = r.finalVerdicts[0].oscillation;
+            allDetected = allDetected && v.detected;
             t.addRow({fmtDouble(bps, 0), coded ? "on" : "off",
-                      r.verdict.detected ? "yes" : "NO",
-                      fmtDouble(r.verdict.analysis.dominantValue, 3),
+                      v.detected ? "yes" : "NO",
+                      fmtDouble(v.analysis.dominantValue, 3),
                       fmtInt(static_cast<long long>(
-                          r.verdict.analysis.dominantLag)),
-                      fmtDouble(r.bitErrorRate, 3),
-                      fmtDouble(r.payloadBitErrorRate, 3)});
+                          v.analysis.dominantLag)),
+                      fmtDouble(r.channel.wireBitErrorRate, 3),
+                      fmtDouble(r.channel.payloadBitErrorRate, 3)});
         }
     }
     t.render(std::cout);
 
     std::printf("\ncontrol: a benign pair audited on the TLB must stay "
                 "clean.\n");
-    OnlineAuditOptions benign;
-    benign.workload = AuditedWorkload::BenignPair;
-    benign.benignUnits = BenignAuditUnits::TlbBus;
-    benign.scenario = base;
-    const OnlineAuditResult br = runOnlineAudit(benign);
+    const OnlineAuditResult br = runOnlineAudit(
+        benignAuditOf("mcf", "gobmk", BenignAuditUnits::TlbBus, base));
     bool falseAlarm = false;
     for (const UnitOutcome& outcome : br.finalVerdicts)
         falseAlarm = falseAlarm || outcome.detected;

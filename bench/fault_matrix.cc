@@ -118,21 +118,24 @@ main(int argc, char** argv)
             // across invocations.
             opts.faults.seed = 100 * (r + 1) + base.seed;
             opts.faults.dropQuantumRate = rate;
-            const DividerScenarioResult res =
-                runDividerScenario(opts);
-            p.detected += res.verdict.detected;
-            p.meanConfidence += res.confidence;
+            const OnlineAuditResult res =
+                runOnlineAudit(auditOf(AuditedWorkload::Divider, opts));
+            p.detected += res.finalVerdicts[0].contention.detected;
+            p.meanConfidence += res.finalVerdicts[0].confidence;
             p.meanCoverage += res.degraded.windowCoverage;
             p.missedQuanta += res.degraded.missedQuanta;
             p.totalFaults += res.degraded.totalFaults();
             if (benign) {
-                ScenarioOptions bopts = opts;
-                const BenignScenarioResult b =
-                    runBenignPair("gobmk", "sjeng", bopts);
+                // Bus + divider, then the L2 (two-slot auditor limit).
+                const OnlineAuditResult cr = runOnlineAudit(benignAuditOf(
+                    "gobmk", "sjeng", BenignAuditUnits::BusDivider, opts));
+                const OnlineAuditResult lr = runOnlineAudit(benignAuditOf(
+                    "gobmk", "sjeng", BenignAuditUnits::CacheBus, opts));
                 ++p.benignRuns;
-                p.benignAlarms += b.busVerdict.detected +
-                                  b.dividerVerdict.detected +
-                                  b.cacheVerdict.detected;
+                p.benignAlarms +=
+                    cr.finalVerdicts[0].contention.detected +
+                    cr.finalVerdicts[1].contention.detected +
+                    lr.finalVerdicts[0].oscillation.detected;
             }
         }
         p.meanConfidence /= runs;

@@ -8,6 +8,7 @@
  */
 
 #include "bench/common.hh"
+#include "channels/bus_channel.hh"
 
 using namespace cchunter;
 using namespace cchunter::bench;
@@ -27,21 +28,24 @@ main(int argc, char** argv)
            "access (CPU cycles)\nwhile the trojan transmits a random "
            "64-bit credit-card number.");
 
-    const BusScenarioResult r = runBusScenario(opts);
+    AuditRun run(auditOf(AuditedWorkload::Bus, opts));
+    run.run();
+    const BusSpy& spy = dynamic_cast<const BusSpy&>(*run.spy());
 
-    printSeries(r.spySamples, "avg latency per access (cycles)",
+    printSeries(spy.samples(), "avg latency per access (cycles)",
                 "sample");
 
     RunningStats ones, zeros;
-    for (const auto& [slot, mean] : r.slotMeans)
-        (r.sent.bitCyclic(slot) ? ones : zeros).add(mean);
+    for (const auto& [slot, mean] : spy.slotMeans())
+        (run.payload().bitCyclic(slot) ? ones : zeros).add(mean);
 
     TableWriter t({"series", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString()});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", run.payload().toString()});
+    t.addRow({"decoded", spy.decoded().toString()});
+    t.addRow({"bit error rate",
+              fmtDouble(run.result().channel.wireBitErrorRate, 4)});
     t.addRow({"samples", fmtInt(static_cast<long long>(
-                  r.spySamples.size()))});
+                  spy.samples().size()))});
     t.addRow({"mean latency ('1' bits)", fmtDouble(ones.mean(), 1)});
     t.addRow({"mean latency ('0' bits)", fmtDouble(zeros.mean(), 1)});
     t.addRow({"contended / uncontended",

@@ -7,6 +7,7 @@
  */
 
 #include "bench/common.hh"
+#include "channels/divider_channel.hh"
 
 using namespace cchunter;
 using namespace cchunter::bench;
@@ -25,18 +26,21 @@ main(int argc, char** argv)
            "Integer Divider Covert Channel: spy's average loop "
            "execution time (CPU cycles)\nfor the same 64-bit message.");
 
-    const DividerScenarioResult r = runDividerScenario(opts);
+    AuditRun run(auditOf(AuditedWorkload::Divider, opts));
+    run.run();
+    const DividerSpy& spy = dynamic_cast<const DividerSpy&>(*run.spy());
 
-    printSeries(r.spySamples, "avg loop latency (cycles)", "sample");
+    printSeries(spy.samples(), "avg loop latency (cycles)", "sample");
 
     RunningStats ones, zeros;
-    for (const auto& [slot, mean] : r.slotMeans)
-        (r.sent.bitCyclic(slot) ? ones : zeros).add(mean);
+    for (const auto& [slot, mean] : spy.slotMeans())
+        (run.payload().bitCyclic(slot) ? ones : zeros).add(mean);
 
     TableWriter t({"series", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString()});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", run.payload().toString()});
+    t.addRow({"decoded", spy.decoded().toString()});
+    t.addRow({"bit error rate",
+              fmtDouble(run.result().channel.wireBitErrorRate, 4)});
     t.addRow({"mean loop latency ('1')", fmtDouble(ones.mean(), 1)});
     t.addRow({"mean loop latency ('0')", fmtDouble(zeros.mean(), 1)});
     t.addRow({"contended / uncontended",

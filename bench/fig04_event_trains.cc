@@ -46,24 +46,44 @@ main(int argc, char** argv)
     defaults.bandwidthBps = 1000.0;
     defaults.quantum = 25000000; // 10 ms: 10 bit slots
     defaults.quanta = 1;
-    defaults.trainWindowTicks = 25000000;
-    ScenarioOptions opts = optionsFromConfig(cfg, defaults);
-    opts.trainWindowTicks = opts.quantum;
+    const ScenarioOptions opts = optionsFromConfig(cfg, defaults);
+    // The trains cover the first quantum: full-rate divider conflict
+    // trains are enormous.
+    const Tick window = opts.quantum;
 
     banner("Figure 4",
            "Event trains during covert transmission: bursts appear "
            "whenever the trojan signals '1'.");
 
-    const BusScenarioResult bus = runBusScenario(opts);
-    printTrain(bus.eventTrain, opts.trainWindowTicks,
+    AuditRun bus(auditOf(AuditedWorkload::Bus, opts));
+    std::vector<Tick> locks;
+    bus.machine().mem().bus().addLockListener(
+        [&locks, window](Tick when, ContextId) {
+            if (when < window)
+                locks.push_back(when);
+        });
+    bus.run();
+    printTrain(eventTrainOf(std::move(locks)), window,
                "(a) memory bus lock events");
     std::printf("  first 10 bits sent: %s\n\n",
-                expectedBits(bus.sent, 10).toString().c_str());
+                expectedBits(bus.payload(), 10).toString().c_str());
 
-    const DividerScenarioResult div = runDividerScenario(opts);
-    printTrain(div.eventTrain, opts.trainWindowTicks,
+    // Expand conflict bursts into individual wait events.
+    AuditRun div(auditOf(AuditedWorkload::Divider, opts));
+    std::vector<Tick> waits;
+    div.machine().divider(0).addWaitListener(
+        [&waits, window](const WaitConflictBurst& b) {
+            for (std::uint64_t i = 0; i < b.count; ++i) {
+                const Tick t = b.start + i * b.spacing;
+                if (t >= window)
+                    break;
+                waits.push_back(t);
+            }
+        });
+    div.run();
+    printTrain(eventTrainOf(std::move(waits)), window,
                "(b) integer divider wait conflicts");
     std::printf("  first 10 bits sent: %s\n",
-                expectedBits(div.sent, 10).toString().c_str());
+                expectedBits(div.payload(), 10).toString().c_str());
     return 0;
 }

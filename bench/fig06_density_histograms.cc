@@ -25,9 +25,12 @@ main(int argc, char** argv)
            "Event density histograms during covert transmission "
            "(one 0.1 s OS time quantum).");
 
-    const BusScenarioResult bus = runBusScenario(opts);
+    AuditRun bus_run(auditOf(AuditedWorkload::Bus, opts));
+    bus_run.run();
+    const ContentionVerdict bus =
+        bus_run.result().finalVerdicts[0].contention;
     Histogram bus_hist(128);
-    for (const auto& h : bus.quantaHistograms)
+    for (const auto& h : bus_run.daemon().contentionQuanta(0))
         bus_hist.merge(h);
     printDensityHistogram(bus_hist,
                           "(a) memory bus: lock density "
@@ -35,12 +38,15 @@ main(int argc, char** argv)
                           "bus locks per dt", 32);
     std::printf("  burst peak bin: %zu (paper: ~20), likelihood "
                 "ratio: %.3f (paper: > 0.9)\n\n",
-                bus.verdict.combined.burstPeakBin,
-                bus.verdict.combined.likelihoodRatio);
+                bus.combined.burstPeakBin,
+                bus.combined.likelihoodRatio);
 
-    const DividerScenarioResult div = runDividerScenario(opts);
+    AuditRun div_run(auditOf(AuditedWorkload::Divider, opts));
+    div_run.run();
+    const ContentionVerdict div =
+        div_run.result().finalVerdicts[0].contention;
     Histogram div_hist(128);
-    for (const auto& h : div.quantaHistograms)
+    for (const auto& h : div_run.daemon().contentionQuanta(0))
         div_hist.merge(h);
     printDensityHistogram(div_hist,
                           "(b) integer divider: contention density "
@@ -48,9 +54,9 @@ main(int argc, char** argv)
                           "wait conflicts per dt", 120);
     std::printf("  burst cluster: bins %zu-%zu, peak %zu (paper: "
                 "84-105, peak ~96); likelihood ratio: %.3f\n",
-                div.verdict.combined.burstFirstBin,
-                div.verdict.combined.burstLastBin,
-                div.verdict.combined.burstPeakBin,
-                div.verdict.combined.likelihoodRatio);
+                div.combined.burstFirstBin,
+                div.combined.burstLastBin,
+                div.combined.burstPeakBin,
+                div.combined.likelihoodRatio);
     return 0;
 }

@@ -7,6 +7,7 @@
  */
 
 #include "bench/common.hh"
+#include "channels/cache_channel.hh"
 
 using namespace cchunter;
 using namespace cchunter::bench;
@@ -25,18 +26,22 @@ main(int argc, char** argv)
            "Cache Covert Channel: spy's G1/G0 access-time ratio per "
            "transmitted bit.");
 
-    const CacheScenarioResult r = runCacheScenario(opts);
+    AuditRun run(auditOf(AuditedWorkload::Cache, opts));
+    run.run();
+    const CacheSpy& spy = dynamic_cast<const CacheSpy&>(*run.spy());
+    const std::vector<double>& ratios = spy.ratios();
 
-    printSeries(r.spyRatios, "G1/G0 access-time ratio", "bit index");
+    printSeries(ratios, "G1/G0 access-time ratio", "bit index");
 
     RunningStats ones, zeros;
-    for (std::size_t i = 1; i < r.spyRatios.size() && i < 64; ++i)
-        (r.sent.bitCyclic(i) ? ones : zeros).add(r.spyRatios[i]);
+    for (std::size_t i = 1; i < ratios.size() && i < 64; ++i)
+        (run.payload().bitCyclic(i) ? ones : zeros).add(ratios[i]);
 
     TableWriter t({"series", "value"});
-    t.addRow({"message", r.sent.toString()});
-    t.addRow({"decoded", r.decoded.toString()});
-    t.addRow({"bit error rate", fmtDouble(r.bitErrorRate, 4)});
+    t.addRow({"message", run.payload().toString()});
+    t.addRow({"decoded", spy.decoded().toString()});
+    t.addRow({"bit error rate",
+              fmtDouble(run.result().channel.wireBitErrorRate, 4)});
     t.addRow({"mean ratio ('1' bits)", fmtDouble(ones.mean(), 2)});
     t.addRow({"mean ratio ('0' bits)", fmtDouble(zeros.mean(), 2)});
     t.render(std::cout);

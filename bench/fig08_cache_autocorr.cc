@@ -28,39 +28,42 @@ main(int argc, char** argv)
            "Oscillatory pattern of L2 conflict misses between trojan "
            "and spy (512 channel sets).");
 
-    const CacheScenarioResult r = runCacheScenario(opts);
+    AuditRun run(auditOf(AuditedWorkload::Cache, opts));
+    run.run();
+    const std::vector<double> labels = run.daemon().labelSeries(0);
+    const OscillationVerdict verdict =
+        run.result().finalVerdicts[0].oscillation;
 
     // (a) the labelled event train: plot the label sequence of the
     // first ~2 bit periods.
     const std::size_t train_len =
-        std::min<std::size_t>(r.labelSeries.size(), 1200);
-    std::vector<double> head(r.labelSeries.begin(),
-                             r.labelSeries.begin() + train_len);
+        std::min<std::size_t>(labels.size(), 1200);
+    std::vector<double> head(labels.begin(), labels.begin() + train_len);
     printSeries(head,
                 "(a) conflict-miss labels (1 = T->S, 0 = S->T), first "
                 "events",
                 "event index");
 
     // (b) autocorrelogram of the full label series.
-    printCorrelogram(r.verdict.analysis.correlogram,
+    printCorrelogram(verdict.analysis.correlogram,
                      "(b) autocorrelogram of the conflict-miss train");
 
     TableWriter t({"metric", "measured", "paper"});
     t.addRow({"conflict events",
-              fmtInt(static_cast<long long>(r.labelSeries.size())),
+              fmtInt(static_cast<long long>(labels.size())),
               "-"});
     t.addRow({"dominant lag",
               fmtInt(static_cast<long long>(
-                  r.verdict.analysis.dominantLag)),
+                  verdict.analysis.dominantLag)),
               "533 (~512 sets)"});
     t.addRow({"peak autocorrelation",
-              fmtDouble(r.verdict.analysis.dominantValue, 3), "0.893"});
+              fmtDouble(verdict.analysis.dominantValue, 3), "0.893"});
     t.addRow({"coefficient at lag 512",
-              fmtDouble(r.verdict.analysis.correlogram.size() > 512 ?
-                            r.verdict.analysis.correlogram[512] : 0.0,
+              fmtDouble(verdict.analysis.correlogram.size() > 512 ?
+                            verdict.analysis.correlogram[512] : 0.0,
                         3),
               "~0.85"});
-    t.addRow({"detected", r.verdict.detected ? "yes" : "no", "yes"});
+    t.addRow({"detected", verdict.detected ? "yes" : "no", "yes"});
     t.render(std::cout);
     return 0;
 }

@@ -76,52 +76,66 @@ main(int argc, char** argv)
     for (const auto& pt : points) {
         ScenarioOptions o = pointOptions(pt, cfg);
 
-        const BusScenarioResult bus = runBusScenario(o);
+        AuditRun bus_run(auditOf(AuditedWorkload::Bus, o));
+        bus_run.run();
+        const ContentionVerdict bus =
+            bus_run.result().finalVerdicts[0].contention;
         Histogram bus_h(128);
-        for (const auto& h : bus.quantaHistograms)
+        for (const auto& h : bus_run.daemon().contentionQuanta(0))
             bus_h.merge(h);
         printDensityHistogram(
             bus_h,
             "memory bus @ " + fmtDouble(pt.bandwidth, 1) + " bps",
             "bus locks per dt", 32);
         bus_t.addRow({fmtDouble(pt.bandwidth, 1),
-                      fmtInt(static_cast<long long>(bus.lockEvents)),
                       fmtInt(static_cast<long long>(
-                          bus.verdict.combined.burstPeakBin)),
-                      fmtDouble(std::max(bus.verdict.combined.likelihoodRatio, bus.verdict.recurrence.maxLikelihoodRatio), 3),
+                          bus_run.machine().mem().bus().locks())),
                       fmtInt(static_cast<long long>(
-                          bus.verdict.recurrence.burstyQuanta)),
-                      bus.verdict.detected ? "yes" : "no"});
+                          bus.combined.burstPeakBin)),
+                      fmtDouble(std::max(bus.combined.likelihoodRatio,
+                                         bus.recurrence.maxLikelihoodRatio),
+                                3),
+                      fmtInt(static_cast<long long>(
+                          bus.recurrence.burstyQuanta)),
+                      bus.detected ? "yes" : "no"});
 
-        const DividerScenarioResult div = runDividerScenario(o);
+        AuditRun div_run(auditOf(AuditedWorkload::Divider, o));
+        div_run.run();
+        const ContentionVerdict div =
+            div_run.result().finalVerdicts[0].contention;
         Histogram div_h(128);
-        for (const auto& h : div.quantaHistograms)
+        for (const auto& h : div_run.daemon().contentionQuanta(0))
             div_h.merge(h);
         printDensityHistogram(
             div_h,
             "integer divider @ " + fmtDouble(pt.bandwidth, 1) + " bps",
             "wait conflicts per dt", 120);
         divider_t.addRow({fmtDouble(pt.bandwidth, 1),
-                      fmtInt(static_cast<long long>(div.conflictEvents)),
                       fmtInt(static_cast<long long>(
-                          div.verdict.combined.burstPeakBin)),
-                      fmtDouble(std::max(div.verdict.combined.likelihoodRatio, div.verdict.recurrence.maxLikelihoodRatio), 3),
+                          div_run.machine().divider(0).totalConflicts())),
                       fmtInt(static_cast<long long>(
-                          div.verdict.recurrence.burstyQuanta)),
-                      div.verdict.detected ? "yes" : "no"});
+                          div.combined.burstPeakBin)),
+                      fmtDouble(std::max(div.combined.likelihoodRatio,
+                                         div.recurrence.maxLikelihoodRatio),
+                                3),
+                      fmtInt(static_cast<long long>(
+                          div.recurrence.burstyQuanta)),
+                      div.detected ? "yes" : "no"});
 
-        const CacheScenarioResult cache = runCacheScenario(o);
-        printCorrelogram(cache.verdict.analysis.correlogram,
+        AuditRun cache_run(auditOf(AuditedWorkload::Cache, o));
+        cache_run.run();
+        const OscillationVerdict cache =
+            cache_run.result().finalVerdicts[0].oscillation;
+        printCorrelogram(cache.analysis.correlogram,
                          "cache channel autocorrelogram @ " +
                              fmtDouble(pt.bandwidth, 1) + " bps");
         cache_t.addRow({fmtDouble(pt.bandwidth, 1),
                         fmtInt(static_cast<long long>(
-                            cache.labelSeries.size())),
+                            cache_run.daemon().conflictWindow(0).size())),
                         fmtInt(static_cast<long long>(
-                            cache.verdict.analysis.dominantLag)),
-                        fmtDouble(cache.verdict.analysis.dominantValue,
-                                  3),
-                        cache.verdict.detected ? "yes" : "no"});
+                            cache.analysis.dominantLag)),
+                        fmtDouble(cache.analysis.dominantValue, 3),
+                        cache.detected ? "yes" : "no"});
     }
 
     std::printf("\nmemory bus channel:\n");

@@ -73,24 +73,32 @@ main(int argc, char** argv)
         o.seed = base.seed + m;
         o.message = Message::random64(msg_rng);
 
-        const BusScenarioResult bus = runBusScenario(o);
+        AuditRun bus(auditOf(AuditedWorkload::Bus, o));
+        bus.run();
         Histogram bus_h(128);
-        for (const auto& h : bus.quantaHistograms)
+        for (const auto& h : bus.daemon().contentionQuanta(0))
             bus_h.merge(h);
         bus_bins.add(bus_h);
-        bus_lr.add(bus.verdict.combined.likelihoodRatio);
+        bus_lr.add(bus.result()
+                       .finalVerdicts[0]
+                       .contention.combined.likelihoodRatio);
 
-        const DividerScenarioResult div = runDividerScenario(o);
+        AuditRun div(auditOf(AuditedWorkload::Divider, o));
+        div.run();
         Histogram div_h(128);
-        for (const auto& h : div.quantaHistograms)
+        for (const auto& h : div.daemon().contentionQuanta(0))
             div_h.merge(h);
         div_bins.add(div_h);
-        div_lr.add(div.verdict.combined.likelihoodRatio);
+        div_lr.add(div.result()
+                       .finalVerdicts[0]
+                       .contention.combined.likelihoodRatio);
 
-        const CacheScenarioResult cache = runCacheScenario(o);
-        cache_lag.add(static_cast<double>(
-            cache.verdict.analysis.dominantLag));
-        cache_peak.add(cache.verdict.analysis.dominantValue);
+        AuditRun cache(auditOf(AuditedWorkload::Cache, o));
+        cache.run();
+        const OscillationAnalysis osc =
+            cache.result().finalVerdicts[0].oscillation.analysis;
+        cache_lag.add(static_cast<double>(osc.dominantLag));
+        cache_peak.add(osc.dominantValue);
     }
 
     printBinStats(bus_bins,

@@ -31,20 +31,24 @@ main(int argc, char** argv)
     for (std::size_t sets : {64u, 128u, 256u, 512u}) {
         ScenarioOptions o = base;
         o.channelSets = sets;
-        const CacheScenarioResult r = runCacheScenario(o);
-        printCorrelogram(r.verdict.analysis.correlogram,
+        AuditRun run(auditOf(AuditedWorkload::Cache, o));
+        run.run();
+        const OscillationVerdict r =
+            run.result().finalVerdicts[0].oscillation;
+        printCorrelogram(r.analysis.correlogram,
                          "autocorrelogram, " + std::to_string(sets) +
                              " channel sets");
         t.addRow({fmtInt(static_cast<long long>(sets)),
-                  fmtInt(static_cast<long long>(r.labelSeries.size())),
                   fmtInt(static_cast<long long>(
-                      r.verdict.analysis.dominantLag)),
+                      run.daemon().conflictWindow(0).size())),
+                  fmtInt(static_cast<long long>(
+                      r.analysis.dominantLag)),
                   fmtDouble(static_cast<double>(
-                                r.verdict.analysis.dominantLag) /
+                                r.analysis.dominantLag) /
                                 static_cast<double>(sets),
                             2),
-                  fmtDouble(r.verdict.analysis.dominantValue, 3),
-                  r.verdict.detected ? "yes" : "no"});
+                  fmtDouble(r.analysis.dominantValue, 3),
+                  r.detected ? "yes" : "no"});
     }
     t.render(std::cout);
     std::printf("\npaper: peak correlation ~0.95 in all cases; the "

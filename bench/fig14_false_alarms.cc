@@ -38,12 +38,24 @@ main(int argc, char** argv)
     for (const auto& [a, b] : falseAlarmPairs()) {
         if (count++ >= max_pairs)
             break;
-        const BenignScenarioResult r = runBenignPair(a, b, opts);
+        // Two runs honour the auditor's two-slot limit: bus + divider,
+        // then the L2 (slot 0 of the cache pairing).
+        AuditRun contention(
+            benignAuditOf(a, b, BenignAuditUnits::BusDivider, opts));
+        contention.run();
+        const OnlineAuditResult cr = contention.result();
+        const ContentionVerdict& bus = cr.finalVerdicts[0].contention;
+        const ContentionVerdict& div = cr.finalVerdicts[1].contention;
+        const OscillationVerdict cache =
+            runOnlineAudit(
+                benignAuditOf(a, b, BenignAuditUnits::CacheBus, opts))
+                .finalVerdicts[0]
+                .oscillation;
 
         Histogram bus_h(128), div_h(128);
-        for (const auto& h : r.busQuanta)
+        for (const auto& h : contention.daemon().contentionQuanta(0))
             bus_h.merge(h);
-        for (const auto& h : r.dividerQuanta)
+        for (const auto& h : contention.daemon().contentionQuanta(1))
             div_h.merge(h);
         const std::string pair = a + "+" + b;
         printDensityHistogram(bus_h, pair + ": memory bus lock density",
@@ -51,19 +63,16 @@ main(int argc, char** argv)
         printDensityHistogram(div_h,
                               pair + ": divider contention density",
                               "wait conflicts per dt", 60);
-        printCorrelogram(r.cacheVerdict.analysis.correlogram,
+        printCorrelogram(cache.analysis.correlogram,
                          pair + ": conflict-miss autocorrelogram");
 
-        alarms += r.busVerdict.detected + r.dividerVerdict.detected +
-                  r.cacheVerdict.detected;
-        t.addRow({pair,
-                  fmtDouble(r.busVerdict.combined.likelihoodRatio, 3),
-                  fmtDouble(r.dividerVerdict.combined.likelihoodRatio,
-                            3),
-                  fmtDouble(r.cacheVerdict.analysis.dominantValue, 3),
-                  r.busVerdict.detected ? "ALARM" : "clean",
-                  r.dividerVerdict.detected ? "ALARM" : "clean",
-                  r.cacheVerdict.detected ? "ALARM" : "clean"});
+        alarms += bus.detected + div.detected + cache.detected;
+        t.addRow({pair, fmtDouble(bus.combined.likelihoodRatio, 3),
+                  fmtDouble(div.combined.likelihoodRatio, 3),
+                  fmtDouble(cache.analysis.dominantValue, 3),
+                  bus.detected ? "ALARM" : "clean",
+                  div.detected ? "ALARM" : "clean",
+                  cache.detected ? "ALARM" : "clean"});
     }
 
     std::printf("\n");

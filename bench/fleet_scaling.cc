@@ -19,19 +19,22 @@
  * Arguments (key=value): tenants=16, quanta=8, quantum=2500000,
  * seed=1, max_shards=8, workers=0 (0 = hardware), out=BENCH_fleet.json.
  * Kernel knobs: analysis.simd=1 (vectorised analysis kernels),
- * analysis.incrementalAutocorr=1 (per-quantum sliding-window
- * maintainer), fleet.batchedFft=1 (batched end-of-run transforms) —
- * flip any of them off to measure its contribution; the incident
- * stream must stay identical either way.
+ * fleet.batchedFft=1 (batched end-of-run transforms) — flip either
+ * off to measure its contribution; the incident stream must stay
+ * identical either way.  Any other key is a fatal error, so a retired
+ * knob cannot be passed and silently ignored.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
 #include "fleet/fleet_auditor.hh"
+#include "util/logging.hh"
 #include "util/simd.hh"
 #include "util/thread_pool.hh"
 
@@ -40,6 +43,25 @@ using namespace cchunter::bench;
 
 namespace
 {
+
+/** The keys this bench reads; anything else is rejected. */
+const std::vector<std::string> kKeys = {
+    "tenants", "quanta", "quantum", "seed", "max_shards", "workers",
+    "out", "analysis.simd", "fleet.batchedFft"};
+
+void
+rejectUnknownKeys(const Config& cfg)
+{
+    for (const std::string& key : cfg.keys()) {
+        if (std::find(kKeys.begin(), kKeys.end(), key) != kKeys.end())
+            continue;
+        std::string known;
+        for (const std::string& k : kKeys)
+            known += (known.empty() ? "" : ", ") + k;
+        fatal("bench_fleet_scaling: unknown key '", key,
+              "' (reads: ", known, ")");
+    }
+}
 
 struct ScalePoint
 {
@@ -98,6 +120,11 @@ int
 main(int argc, char** argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
+    try {
+        rejectUnknownKeys(cfg);
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the key
+    }
     SyntheticFleetOptions fleet;
     fleet.tenants = cfg.getUint("tenants", 16);
     fleet.quanta = cfg.getUint("quanta", 8);
@@ -108,8 +135,6 @@ main(int argc, char** argv)
         static_cast<std::size_t>(cfg.getUint("workers", 0));
     const std::string out = cfg.getString("out", "BENCH_fleet.json");
     setSimdEnabled(cfg.getBool("analysis.simd", true));
-    const bool incremental =
-        cfg.getBool("analysis.incrementalAutocorr", true);
     const bool batchedFft = cfg.getBool("fleet.batchedFft", true);
 
     const std::size_t hardware = ThreadPool::hardwareConcurrency();
@@ -122,12 +147,7 @@ main(int argc, char** argv)
                 fleet.tenants, fleet.quanta,
                 static_cast<unsigned long long>(fleet.seed), hardware);
 
-    const TenantRegistry synthetic = TenantRegistry::synthetic(fleet);
-    TenantRegistry registry;
-    for (TenantConfig tenant : synthetic.tenants()) {
-        tenant.audit.online.incrementalAutocorr = incremental;
-        registry.add(std::move(tenant));
-    }
+    const TenantRegistry registry = TenantRegistry::synthetic(fleet);
 
     std::vector<ScalePoint> points;
     TableWriter t({"shards", "wall ms", "tenants/s", "speedup",

@@ -39,17 +39,24 @@ main(int argc, char** argv)
         opts.seed = cfg.getUint("seed", 1);
         opts.faults = fault_plan;
 
-        const BusScenarioResult r = runBusScenario(opts);
-        all_detected &= r.verdict.detected;
+        OnlineAuditOptions audit;
+        audit.workload = AuditedWorkload::Bus;
+        audit.scenario = opts;
+        AuditRun run(audit);
+        run.run();
+        const OnlineAuditResult r = run.result();
+        const ContentionVerdict& verdict = r.finalVerdicts[0].contention;
+        all_detected &= verdict.detected;
         pipeline.accumulate(r.pipeline);
         degraded.accumulate(r.degraded);
         table.addRow({fmtDouble(bandwidth, 0),
-                      fmtInt(static_cast<long long>(r.lockEvents)),
                       fmtInt(static_cast<long long>(
-                          r.verdict.combined.burstPeakBin)),
-                      fmtDouble(r.verdict.combined.likelihoodRatio, 3),
-                      fmtDouble(r.bitErrorRate, 3),
-                      r.verdict.detected ? "DETECTED" : "missed"});
+                          run.machine().mem().bus().locks())),
+                      fmtInt(static_cast<long long>(
+                          verdict.combined.burstPeakBin)),
+                      fmtDouble(verdict.combined.likelihoodRatio, 3),
+                      fmtDouble(r.channel.wireBitErrorRate, 3),
+                      verdict.detected ? "DETECTED" : "missed"});
     }
 
     std::printf("memory-bus covert channel forensics "

@@ -43,13 +43,21 @@ main(int argc, char** argv)
                 opts.noiseProcesses,
                 scenarioConfig(opts).dump().c_str());
 
-    const CacheScenarioResult r = runCacheScenario(opts);
+    OnlineAuditOptions audit;
+    audit.workload = AuditedWorkload::Cache;
+    audit.scenario = opts;
+    AuditRun run(audit);
+    run.run();
+    const OnlineAuditResult r = run.result();
+    const OscillationVerdict& verdict = r.finalVerdicts[0].oscillation;
 
-    std::printf("secret sent:     %s\n", r.sent.toString().c_str());
-    std::printf("spy decoded:     %s\n", r.decoded.toString().c_str());
-    std::printf("bit error rate:  %.3f\n", r.bitErrorRate);
+    std::printf("secret sent:     %s\n", run.payload().toString().c_str());
+    std::printf("spy decoded:     %s\n",
+                run.spy()->decoded().toString().c_str());
+    std::printf("bit error rate:  %.3f\n", r.channel.wireBitErrorRate);
     std::printf("conflict misses flagged by the tracker: %llu\n",
-                static_cast<unsigned long long>(r.trackedConflicts));
+                static_cast<unsigned long long>(
+                    run.auditor().tracker(0)->conflictMisses()));
     std::printf("\nlabelled conflict-miss train "
                 "(1 = trojan evicts spy, 0 = spy evicts trojan):\n");
 
@@ -57,16 +65,17 @@ main(int argc, char** argv)
     plot.title = "autocorrelogram of the conflict-miss train";
     plot.xLabel = "lag (events)";
     plot.yFromZero = true;
-    asciiPlot(std::cout, r.verdict.analysis.correlogram, plot);
+    asciiPlot(std::cout, verdict.analysis.correlogram, plot);
 
-    std::printf("\nverdict:  %s\n", r.verdict.summary().c_str());
+    std::printf("\nverdict:  %s\n", verdict.summary().c_str());
     std::printf("pipeline: %s\n", r.pipeline.summary().c_str());
     if (opts.faults.enabled())
         std::printf("degraded: %s\nconfidence: %.3f\n",
-                    r.degraded.summary().c_str(), r.confidence);
+                    r.degraded.summary().c_str(),
+                    r.finalVerdicts[0].confidence);
     std::printf("the dominant lag (%zu) tracks the number of channel "
                 "sets (%zu): the spy and trojan\nalternate evicting "
                 "each other once per set per bit.\n",
-                r.verdict.analysis.dominantLag, opts.channelSets);
-    return r.verdict.detected ? 0 : 1;
+                verdict.analysis.dominantLag, opts.channelSets);
+    return verdict.detected ? 0 : 1;
 }

@@ -321,13 +321,8 @@ AuditDaemon::ingestConflicts(unsigned slot,
                 rec.victimPid = p->pid();
         }
         // Maintain the label series as records arrive so the
-        // per-quantum analysis never rescans the full log, and the
-        // sliding-window autocorrelation sums so the end-of-run
-        // analysis never re-transforms it.
-        const double label = labelOf(rec);
-        st.quantumLabels.push_back(label);
-        if (st.autocorr)
-            st.autocorr->push(label);
+        // per-quantum analysis never rescans the full log.
+        st.quantumLabels.push_back(labelOf(rec));
         st.records.push(rec);
     }
     std::lock_guard<std::mutex> lock(statsMutex_);
@@ -423,26 +418,6 @@ AuditDaemon::enableOnlineAnalysis(OnlineAnalysisParams params,
     online_ = true;
     onlineParams_ = params;
     alarmCallback_ = std::move(callback);
-    debugRecompute_ = params.debugRecomputeMerged;
-    debugRecomputeAutocorr_ = params.debugRecomputeAutocorr;
-    if (params.incrementalAutocorr) {
-        // One maintainer per cache slot, spanning the same window as
-        // the conflict-record ring; records already retained are
-        // replayed so both views agree from the first analysis.
-        const std::size_t lag =
-            std::max<std::size_t>(2,
-                                  params.hunter.oscillation.maxLag);
-        for (unsigned s = 0; s < auditor_.numSlots(); ++s) {
-            if (!auditor_.vectorRegisters(s))
-                continue;
-            SlotState& st = slots_[s];
-            st.autocorr =
-                std::make_unique<IncrementalAutocorrelation>(
-                    lag, retention_.conflictRecords);
-            for (const ConflictRecord& r : st.records)
-                st.autocorr->push(labelOf(r));
-        }
-    }
     if (onlineParams_.analysisThreads != 1)
         pool_ = std::make_unique<ThreadPool>(
             onlineParams_.analysisThreads);
@@ -478,18 +453,6 @@ AuditDaemon::setContentionRetention(std::size_t quanta)
     // that happened a few quanta ago.
     if (quanta > presence_.capacity())
         presence_.setCapacity(quanta);
-}
-
-void
-AuditDaemon::setDebugRecomputeMerged(bool recompute)
-{
-    debugRecompute_ = recompute;
-}
-
-void
-AuditDaemon::setDebugRecomputeAutocorr(bool recompute)
-{
-    debugRecomputeAutocorr_ = recompute;
 }
 
 void
@@ -725,14 +688,14 @@ AuditDaemon::analyzeBatch(AnalysisBatch& batch, bool from_snapshots)
                 view.reserve(sv.windowCopy.size());
                 for (const Histogram& h : sv.windowCopy)
                     view.push_back(&h);
-                if (!debugRecompute_ && !sv.windowCopy.empty())
+                if (!sv.windowCopy.empty())
                     premerged = &sv.mergedCopy;
             } else {
                 const SlotState& st = slots_[sv.slot];
                 view.reserve(st.window.size());
                 for (const Histogram& h : st.window)
                     view.push_back(&h);
-                if (!debugRecompute_ && st.mergedInit)
+                if (st.mergedInit)
                     premerged = &st.merged;
             }
             sv.contention = hunter.analyzeContention(view, premerged);
@@ -1046,31 +1009,14 @@ AuditDaemon::analyzeContention(unsigned slot, CCHunterParams params)
     for (const Histogram& h : st.window)
         view.push_back(&h);
     CCHunter hunter(params);
-    const Histogram* premerged =
-        !debugRecompute_ && st.mergedInit ? &st.merged : nullptr;
-    return hunter.analyzeContention(view, premerged);
+    return hunter.analyzeContention(view,
+                                    st.mergedInit ? &st.merged : nullptr);
 }
 
 OscillationVerdict
 AuditDaemon::analyzeOscillation(unsigned slot, CCHunterParams params)
     const
 {
-    const SlotState& st = slotState(slot);
-    const std::size_t lag = params.oscillation.maxLag;
-    // Serve from the incrementally maintained sums when they cover
-    // the request; the maintainer and the record ring ingest the same
-    // stream with the same capacity, so the size check only guards a
-    // maintainer created after records had already been dropped.
-    if (st.autocorr && !debugRecomputeAutocorr_ && lag >= 2 &&
-        lag <= st.autocorr->maxLag() &&
-        st.autocorr->size() == st.records.size()) {
-        OscillationVerdict verdict;
-        verdict.analysis.seriesLength = st.autocorr->size();
-        st.autocorr->correlogram(lag, verdict.analysis.correlogram);
-        decideOscillation(verdict.analysis, params.oscillation);
-        verdict.detected = verdict.analysis.oscillating;
-        return verdict;
-    }
     CCHunter hunter(params);
     return hunter.analyzeOscillation(labelSeries(slot));
 }

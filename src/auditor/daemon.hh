@@ -33,7 +33,6 @@
 
 #include "auditor/cc_auditor.hh"
 #include "detect/detector.hh"
-#include "detect/incremental_autocorr.hh"
 #include "faults/fault_injector.hh"
 #include "sim/stats_report.hh"
 #include "util/bounded_queue.hh"
@@ -107,32 +106,6 @@ struct OnlineAnalysisParams
      *  simulation loop; DropOldest sheds the stalest batch and counts
      *  the loss. */
     OverflowPolicy queueOverflow = OverflowPolicy::Block;
-
-    /**
-     * Debug: recompute the merged contention histogram from the
-     * retained window on every analysis instead of using the
-     * incrementally maintained copy.  Pinned equal to the incremental
-     * path by tests.
-     */
-    bool debugRecomputeMerged = false;
-
-    /**
-     * Maintain per-slot sliding-window autocorrelation sums
-     * incrementally (update-on-append / downdate-on-evict) so the
-     * end-of-run analyzeOscillation() serves its correlogram in
-     * O(maxLag) instead of recomputing O(N log N) over the retained
-     * window.  Equal to the full recompute within 1e-9 and pinned to
-     * produce identical alarms/verdicts by tests.  Config key:
-     * `analysis.incrementalAutocorr`.
-     */
-    bool incrementalAutocorr = true;
-
-    /**
-     * Debug: ignore the incremental maintainer and recompute the
-     * full-window correlogram on every analyzeOscillation() (the
-     * legacy path; equivalence-test hook).
-     */
-    bool debugRecomputeAutocorr = false;
 
     /** Analysis parameters. */
     CCHunterParams hunter;
@@ -389,19 +362,6 @@ class AuditDaemon
     void flushAnalyses() const;
 
     /**
-     * Debug: force merged-histogram recomputation (the legacy path)
-     * in subsequent analyses instead of the incremental copy.
-     */
-    void setDebugRecomputeMerged(bool recompute);
-
-    /**
-     * Debug: force full-window correlogram recomputation (the legacy
-     * path) in subsequent analyzeOscillation() calls instead of the
-     * incremental sliding-window sums.
-     */
-    void setDebugRecomputeAutocorr(bool recompute);
-
-    /**
      * Switch on live analysis at the paper's cadence: recurrent-burst
      * clustering every clusteringIntervalQuanta, oscillation analysis
      * on each quantum's conflict labels.  The callback fires for every
@@ -439,11 +399,6 @@ class AuditDaemon
          *  quantum; feeds the oscillation analysis without a fresh
          *  series materialisation). */
         std::vector<double> quantumLabels;
-
-        /** Sliding-window autocorrelation sums over the same span as
-         *  `records`, maintained per ingested label (online analysis
-         *  with incrementalAutocorr only). */
-        std::unique_ptr<IncrementalAutocorrelation> autocorr;
 
         // Conflict-path integrity accounting (sim thread only).
         std::uint64_t conflictsIngested = 0;
@@ -516,8 +471,6 @@ class AuditDaemon
     std::uint64_t currentQuantum_ = 0;
     std::uint64_t quanta_ = 0;
     bool online_ = false;
-    bool debugRecompute_ = false;
-    bool debugRecomputeAutocorr_ = false;
     OnlineAnalysisParams onlineParams_;
     AlarmCallback alarmCallback_;
     std::vector<Alarm> alarms_;

@@ -1,21 +1,10 @@
 #include "scenario/experiment.hh"
 
 #include <algorithm>
-#include <memory>
-#include <optional>
-
 #include <map>
 
-#include "channels/bus_channel.hh"
-#include "channels/cache_channel.hh"
 #include "channels/capacity.hh"
-#include "channels/channel_spy.hh"
-#include "channels/divider_channel.hh"
-#include "channels/tlb_channel.hh"
 #include "detect/autocorrelation.hh"
-#include "faults/fault_injector.hh"
-#include "sim/machine.hh"
-#include "units/unit_registry.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "workloads/suites.hh"
@@ -36,14 +25,6 @@ resolveMessage(const ScenarioOptions& opts)
         return opts.message;
     Rng rng(opts.seed ^ 0xabcdef);
     return Message::random64(rng);
-}
-
-/** The bits actually transmitted: the payload, protocol-coded when the
- *  protocol adversary is enabled. */
-Message
-resolveWire(const ScenarioOptions& opts, const Message& payload)
-{
-    return encodeProtocol(payload, opts.protocol);
 }
 
 /** Translate scenario options into the unit-agnostic hook context. */
@@ -103,35 +84,6 @@ addNoise(Machine& machine, const ScenarioOptions& opts)
                                          opts.noiseIntensity));
     }
 }
-
-/**
- * Optional fault-injection harness for a scenario run.  When the plan
- * is all-zero nothing is constructed or attached, so a clean run
- * executes exactly the pre-fault-injection code paths.
- */
-struct FaultHarness
-{
-    std::optional<FaultInjector> injector;
-
-    FaultHarness(const ScenarioOptions& opts, CCAuditor& auditor)
-    {
-        if (!opts.faults.enabled())
-            return;
-        opts.faults.validate();
-        if (opts.faults.saturatePaperWidths) {
-            HistogramBufferParams hp = auditor.histogramParams();
-            hp.saturate16 = true;
-            auditor.setHistogramParams(hp);
-        }
-        injector.emplace(opts.faults);
-    }
-
-    void attach(AuditDaemon& daemon)
-    {
-        if (injector)
-            daemon.attachFaultInjector(&*injector);
-    }
-};
 
 } // namespace
 
@@ -244,57 +196,71 @@ slotBitErrorRate(
            static_cast<double>(decoded.size());
 }
 
-OnlineAuditResult
-runOnlineAudit(const OnlineAuditOptions& options)
+AuditRun::AuditRun(const OnlineAuditOptions& options)
+    : options_(options)
 {
-    const ScenarioOptions& opts = options.scenario;
+    const ScenarioOptions& opts = options_.scenario;
     const UnitRegistry& registry = UnitRegistry::instance();
-    const Message payload = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-    const UnitRunContext ctx =
-        makeUnitContext(opts, resolveWire(opts, payload), timing);
+    payload_ = resolveMessage(opts);
+    ctx_ = makeUnitContext(opts, encodeProtocol(payload_, opts.protocol),
+                           makeTiming(opts));
 
     // A channel workload maps to exactly one registered unit; the
     // benign pair maps to none and instead audits the pairing's two
     // unit slots.
-    const UnitDescriptor* unit = registry.byWorkload(options.workload);
-    if (!unit && options.workload != AuditedWorkload::BenignPair)
+    unit_ = registry.byWorkload(options_.workload);
+    if (!unit_ && options_.workload != AuditedWorkload::BenignPair)
         fatal("runOnlineAudit: workload ",
-              static_cast<int>(options.workload),
+              static_cast<int>(options_.workload),
               " has no registered unit");
     const BenignPairing* pairing =
-        unit ? nullptr : &benignPairing(options.benignUnits);
+        unit_ ? nullptr : &benignPairing(options_.benignUnits);
 
     MachineParams mp = makeMachine(opts);
-    if (unit) {
-        if (unit->configureMachine)
-            unit->configureMachine(mp, ctx);
+    if (unit_) {
+        if (unit_->configureMachine)
+            unit_->configureMachine(mp, ctx_);
     } else {
         // Benign audits of hardware that is off by default (the TLB)
         // still need that hardware present.
         for (const MonitorTarget target : pairing->slots) {
             const UnitDescriptor& d = registry.require(target);
             if (d.configureBenignMachine)
-                d.configureBenignMachine(mp, ctx);
+                d.configureBenignMachine(mp, ctx_);
         }
     }
-    Machine machine(mp);
+    machine_ = std::make_unique<Machine>(mp);
 
-    if (unit) {
-        unit->buildWorkload(machine, ctx);
+    if (unit_) {
+        unit_->buildWorkload(*machine_, ctx_);
+        // Recover the receiver through the common ChannelSpy
+        // interface (no per-unit dispatch).
+        for (const auto& p : machine_->scheduler().processes())
+            if ((spy_ = dynamic_cast<const ChannelSpy*>(&p->workload())))
+                break;
     } else {
-        machine.addProcess(
-            makeBenchmark(options.benignA, opts.seed + 1), 0);
-        machine.addProcess(
-            makeBenchmark(options.benignB, opts.seed + 2), 1);
+        machine_->addProcess(
+            makeBenchmark(options_.benignA, opts.seed + 1), 0);
+        machine_->addProcess(
+            makeBenchmark(options_.benignB, opts.seed + 2), 1);
     }
-    addNoise(machine, opts);
+    addNoise(*machine_, opts);
 
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
+    auditor_ = std::make_unique<CCAuditor>(*machine_);
+    // An all-zero fault plan constructs and attaches nothing, so a
+    // clean run executes exactly the uninstrumented code paths.
+    if (opts.faults.enabled()) {
+        opts.faults.validate();
+        if (opts.faults.saturatePaperWidths) {
+            HistogramBufferParams hp = auditor_->histogramParams();
+            hp.saturate16 = true;
+            auditor_->setHistogramParams(hp);
+        }
+        injector_.emplace(opts.faults);
+    }
     const AuditKey key = requestAuditKey(true);
-    if (unit) {
-        unit->program(auditor, key, 0, ctx);
+    if (unit_) {
+        unit_->program(*auditor_, key, 0, ctx_);
     } else {
         // No channel to pin down: watch two of the units the pair
         // actually shares (the two-slot auditor limit).  The default
@@ -302,79 +268,84 @@ runOnlineAudit(const OnlineAuditOptions& options)
         // runs feed the oscillation path and the SMT multiplier, so
         // every unit kind accumulates negatives.  Benign runs always
         // use the deployable tracker, never the oracle.
-        UnitRunContext benign_ctx = ctx;
+        UnitRunContext benign_ctx = ctx_;
         benign_ctx.idealTracker = false;
         for (unsigned slot = 0; slot < pairing->slots.size(); ++slot)
             registry.require(pairing->slots[slot])
-                .program(auditor, key, slot, benign_ctx);
+                .program(*auditor_, key, slot, benign_ctx);
     }
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
+    daemon_ = std::make_unique<AuditDaemon>(*machine_, *auditor_);
+    if (injector_)
+        daemon_->attachFaultInjector(&*injector_);
 
     // Whole-run response axis: the plan is engaged before the first
     // quantum (measuring a channel *under* an already-applied
     // response, e.g. a residual-bandwidth probe).
-    const std::array<ContextId, 2> pair_ctx =
-        unit ? unit->channelContexts
-             : std::array<ContextId, 2>{ContextId{0}, ContextId{1}};
-    if (opts.response.active()) {
-        if (unit)
-            applyResponsePlan(machine, unit->id, opts.response);
-        else
-            applyResponsePlan(machine, pair_ctx, opts.response);
-    }
+    if (opts.response.active())
+        applyPlan(opts.response);
 
-    OnlineAnalysisParams online = options.online;
+    online_ = options_.online;
     if (opts.quanta != 0 &&
-        online.clusteringIntervalQuanta > opts.quanta)
-        online.clusteringIntervalQuanta = opts.quanta;
-    online.hunter = opts.thresholds.apply(online.hunter);
+        online_.clusteringIntervalQuanta > opts.quanta)
+        online_.clusteringIntervalQuanta = opts.quanta;
+    online_.hunter = opts.thresholds.apply(online_.hunter);
     // Detection-triggered response needs the alarm stream current at
     // each boundary: force the synchronous analysis path so the
     // engagement quantum is deterministic.
-    if (options.autoRespond.enabled)
-        online.asyncAnalysis = false;
-    daemon.enableOnlineAnalysis(online);
-
-    OnlineAuditResult result;
+    if (options_.autoRespond.enabled)
+        online_.asyncAnalysis = false;
+    daemon_->enableOnlineAnalysis(online_);
 
     // Closed loop: engage the configured plan at the first quantum
     // boundary whose cumulative alarm count crosses the threshold.
     // Registered after the daemon's observer, so it sees the alarms
     // the boundary's own analysis just raised.
-    if (options.autoRespond.enabled) {
-        machine.scheduler().addQuantumObserver(
-            [&result, &machine, &daemon, &options, unit,
-             pair_ctx](std::uint64_t q, Tick) {
-                if (result.response.engaged)
+    if (options_.autoRespond.enabled) {
+        machine_->scheduler().addQuantumObserver(
+            [this](std::uint64_t q, Tick) {
+                if (response_.engaged ||
+                    daemon_->alarms().size() <
+                        options_.autoRespond.alarmThreshold)
                     return;
-                if (daemon.alarms().size() <
-                    options.autoRespond.alarmThreshold)
-                    return;
-                if (unit)
-                    applyResponsePlan(machine, unit->id,
-                                      options.autoRespond.plan);
-                else
-                    applyResponsePlan(machine, pair_ctx,
-                                      options.autoRespond.plan);
-                result.response.engaged = true;
-                result.response.quantum = q;
-                result.response.level =
-                    options.autoRespond.plan.level;
+                applyPlan(options_.autoRespond.plan);
+                response_.engaged = true;
+                response_.quantum = q;
+                response_.level = options_.autoRespond.plan.level;
             });
     }
+}
 
-    machine.runQuanta(opts.quanta);
+void
+AuditRun::applyPlan(const ResponsePlan& plan)
+{
+    if (unit_)
+        applyResponsePlan(*machine_, unit_->id, plan);
+    else
+        applyResponsePlan(*machine_, {ContextId{0}, ContextId{1}}, plan);
+}
 
-    result.alarms = daemon.alarms();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.quantaRecorded = daemon.quantaRecorded();
+void
+AuditRun::run()
+{
+    machine_->runQuanta(options_.scenario.quanta);
+}
+
+OnlineAuditResult
+AuditRun::result() const
+{
+    const ScenarioOptions& opts = options_.scenario;
+    const UnitRegistry& registry = UnitRegistry::instance();
+    OnlineAuditResult result;
+    result.alarms = daemon_->alarms();
+    result.pipeline = daemon_->pipelineStats();
+    result.degraded = daemon_->degradedStats();
+    result.quantaRecorded = daemon_->quantaRecorded();
+    result.response = response_;
 
     // Performance-tax accounting: the first two processes are always
     // the trojan/spy or benign pair (noise is added after them).
     {
-        const auto& procs = machine.scheduler().processes();
+        const auto& procs = machine_->scheduler().processes();
         const std::size_t n = std::min<std::size_t>(2, procs.size());
         for (std::size_t i = 0; i < n; ++i) {
             result.pairActions += procs[i]->stats().actions;
@@ -383,60 +354,49 @@ runOnlineAudit(const OnlineAuditOptions& options)
         }
     }
 
-    // Decode oracle: recover the spy through the common ChannelSpy
-    // interface (no per-unit dispatch) and score what survived.
-    if (unit) {
-        const ChannelSpy* spy = nullptr;
-        for (const auto& p : machine.scheduler().processes())
-            if ((spy = dynamic_cast<const ChannelSpy*>(&p->workload())))
-                break;
-        if (spy) {
-            ChannelDecodeOutcome& ch = result.channel;
-            ch.present = true;
-            const Message& wire = ctx.message;
-            ch.wireBitsDecoded = spy->decodedSlots().size();
-            ch.wireBitErrorRate =
-                slotBitErrorRate(wire, spy->decodedSlots());
-            ch.payloadBitErrorRate = ch.wireBitErrorRate;
-            double payload_fraction = 1.0;
-            if (opts.protocol.enabled && !wire.empty()) {
-                // The receiver's link layer sees one wire pass; frame
-                // repeats inside the wire already vote retransmissions.
-                const Message decoded_wire = spy->decoded();
-                std::vector<bool> received;
-                const std::size_t limit =
-                    std::min(decoded_wire.size(), wire.size());
-                received.reserve(limit);
-                for (std::size_t i = 0; i < limit; ++i)
-                    received.push_back(decoded_wire.bit(i));
-                const Message recovered = decodeProtocol(
-                    Message::fromBits(std::move(received)),
-                    opts.protocol, payload.size(), &ch.protocolStats);
-                ch.payloadBitErrorRate =
-                    payload.bitErrorRate(recovered);
-                payload_fraction = static_cast<double>(payload.size()) /
-                                   static_cast<double>(wire.size());
-            }
-            ch.seconds = ticksToSeconds(
-                static_cast<Tick>(opts.quanta) * opts.quantum);
-            const double good_bits =
-                static_cast<double>(ch.wireBitsDecoded) *
-                payload_fraction;
-            ch.effectiveBandwidthBps =
-                ch.seconds > 0.0
-                    ? good_bits / ch.seconds *
-                          bscCapacity(ch.payloadBitErrorRate)
-                    : 0.0;
+    // Decode oracle: score what the spy recovered.
+    if (spy_) {
+        ChannelDecodeOutcome& ch = result.channel;
+        ch.present = true;
+        const Message& wire = ctx_.message;
+        ch.wireBitsDecoded = spy_->decodedSlots().size();
+        ch.wireBitErrorRate = slotBitErrorRate(wire, spy_->decodedSlots());
+        ch.payloadBitErrorRate = ch.wireBitErrorRate;
+        double payload_fraction = 1.0;
+        if (opts.protocol.enabled && !wire.empty()) {
+            // The receiver's link layer sees one wire pass; frame
+            // repeats inside the wire already vote retransmissions.
+            const Message decoded_wire = spy_->decoded();
+            std::vector<bool> received;
+            const std::size_t limit =
+                std::min(decoded_wire.size(), wire.size());
+            received.reserve(limit);
+            for (std::size_t i = 0; i < limit; ++i)
+                received.push_back(decoded_wire.bit(i));
+            const Message recovered = decodeProtocol(
+                Message::fromBits(std::move(received)), opts.protocol,
+                payload_.size(), &ch.protocolStats);
+            ch.payloadBitErrorRate = payload_.bitErrorRate(recovered);
+            payload_fraction = static_cast<double>(payload_.size()) /
+                               static_cast<double>(wire.size());
         }
+        ch.seconds = ticksToSeconds(
+            static_cast<Tick>(opts.quanta) * opts.quantum);
+        const double good_bits =
+            static_cast<double>(ch.wireBitsDecoded) * payload_fraction;
+        ch.effectiveBandwidthBps =
+            ch.seconds > 0.0 ? good_bits / ch.seconds *
+                                   bscCapacity(ch.payloadBitErrorRate)
+                             : 0.0;
     }
 
-    for (unsigned s = 0; s < auditor.numSlots(); ++s) {
-        if (!auditor.slotActive(s))
+    for (unsigned s = 0; s < auditor_->numSlots(); ++s) {
+        if (!auditor_->slotActive(s))
             continue;
         ++result.monitoredSlots;
         UnitOutcome outcome;
         outcome.slot = s;
-        outcome.unit = auditor.slotTarget(s);
+        outcome.unit = auditor_->slotTarget(s);
         outcome.backend = opts.thresholds.backend;
         outcome.indicator2Threshold =
             opts.thresholds.indicator2Threshold;
@@ -458,19 +418,19 @@ runOnlineAudit(const OnlineAuditOptions& options)
             outcome.backend == DetectBackend::Indicator2;
         if (descriptor.policy == AlarmKind::Oscillation) {
             outcome.kind = AlarmKind::Oscillation;
-            outcome.confidence = daemon.oscillationConfidence(s);
+            outcome.confidence = daemon_->oscillationConfidence(s);
             outcome.indicator2 =
-                indicator2.scoreOscillation(daemon.labelSeries(s));
-            if (options.deferOscillationVerdicts) {
+                indicator2.scoreOscillation(daemon_->labelSeries(s));
+            if (options_.deferOscillationVerdicts) {
                 outcome.deferredOscillation = true;
-                outcome.pendingSeries = daemon.labelSeries(s);
-                outcome.pendingParams = online.hunter.oscillation;
+                outcome.pendingSeries = daemon_->labelSeries(s);
+                outcome.pendingParams = online_.hunter.oscillation;
                 if (byIndicator2)
                     outcome.detected = outcome.indicator2.detectedAt(
                         outcome.indicator2Threshold);
             } else {
                 outcome.oscillation =
-                    daemon.analyzeOscillation(s, online.hunter);
+                    daemon_->analyzeOscillation(s, online_.hunter);
                 outcome.detected =
                     byIndicator2
                         ? outcome.indicator2.detectedAt(
@@ -480,19 +440,27 @@ runOnlineAudit(const OnlineAuditOptions& options)
         } else {
             outcome.kind = AlarmKind::Contention;
             outcome.contention =
-                daemon.analyzeContention(s, online.hunter);
+                daemon_->analyzeContention(s, online_.hunter);
             outcome.indicator2 =
-                indicator2.scoreContention(daemon.contentionQuanta(s));
+                indicator2.scoreContention(daemon_->contentionQuanta(s));
             outcome.detected =
                 byIndicator2 ? outcome.indicator2.detectedAt(
                                    outcome.indicator2Threshold)
                              : outcome.contention.detected;
             outcome.confidence =
-                daemon.contentionConfidence(s, outcome.contention);
+                daemon_->contentionConfidence(s, outcome.contention);
         }
         result.finalVerdicts.push_back(std::move(outcome));
     }
     return result;
+}
+
+OnlineAuditResult
+runOnlineAudit(const OnlineAuditOptions& options)
+{
+    AuditRun run(options);
+    run.run();
+    return run.result();
 }
 
 std::size_t
@@ -545,423 +513,6 @@ finalizeDeferredOscillations(std::vector<UnitOutcome*>& pending)
         batched += group.size();
     }
     return batched;
-}
-
-BusScenarioResult
-runBusScenario(const ScenarioOptions& opts)
-{
-    BusScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    Machine machine(makeMachine(opts));
-
-    BusTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    tp.evasionLockPeriod = opts.busEvasionPeriod;
-    machine.addProcess(std::make_unique<BusTrojan>(tp), 0); // core 0
-
-    BusSpyParams sp;
-    sp.timing = timing;
-    auto spy_owned = std::make_unique<BusSpy>(sp);
-    BusSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 2); // core 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::MemoryBus, opts.response);
-
-    // Optional raw event-train recording (figure 4).
-    std::vector<Tick> raw_events;
-    if (opts.trainWindowTicks != 0) {
-        const Tick limit = opts.trainWindowTicks;
-        machine.mem().bus().addLockListener(
-            [&raw_events, limit](Tick when, ContextId) {
-                if (when < limit)
-                    raw_events.push_back(when);
-            });
-    }
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorBus(key, 0);
-    result.deltaT = busDeltaT;
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    std::sort(raw_events.begin(), raw_events.end());
-    for (Tick t : raw_events)
-        result.eventTrain.addEvent(t);
-    result.quantaHistograms = daemon.contentionQuanta(0);
-    result.verdict =
-        daemon.analyzeContention(0, opts.thresholds.apply());
-    result.spySamples = spy->samples();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    result.lockEvents = machine.mem().bus().locks();
-    result.slotMeans = spy->slotMeans();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.contentionConfidence(0, result.verdict);
-    return result;
-}
-
-DividerScenarioResult
-runDividerScenario(const ScenarioOptions& opts)
-{
-    DividerScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    Machine machine(makeMachine(opts));
-
-    DividerTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    machine.addProcess(std::make_unique<DividerTrojan>(tp), 0);
-
-    DividerSpyParams sp;
-    sp.timing = timing;
-    auto spy_owned = std::make_unique<DividerSpy>(sp);
-    DividerSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::IntegerDivider, opts.response);
-
-    // Optional raw event-train recording (figure 4): expand conflict
-    // bursts into individual wait events inside the window.
-    std::vector<Tick> raw_events;
-    if (opts.trainWindowTicks != 0) {
-        const Tick limit = opts.trainWindowTicks;
-        machine.divider(0).addWaitListener(
-            [&raw_events, limit](const WaitConflictBurst& b) {
-                for (std::uint64_t i = 0; i < b.count; ++i) {
-                    const Tick t = b.start + i * b.spacing;
-                    if (t >= limit)
-                        break;
-                    raw_events.push_back(t);
-                }
-            });
-    }
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorDivider(key, 0, /*core=*/0);
-    result.deltaT = dividerDeltaT;
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    std::sort(raw_events.begin(), raw_events.end());
-    for (Tick t : raw_events)
-        result.eventTrain.addEvent(t);
-    result.quantaHistograms = daemon.contentionQuanta(0);
-    result.verdict =
-        daemon.analyzeContention(0, opts.thresholds.apply());
-    result.spySamples = spy->samples();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    result.conflictEvents = machine.divider(0).totalConflicts();
-    result.slotMeans = spy->slotMeans();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.contentionConfidence(0, result.verdict);
-    return result;
-}
-
-DividerScenarioResult
-runMultiplierScenario(const ScenarioOptions& opts)
-{
-    DividerScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    Machine machine(makeMachine(opts));
-
-    DividerTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    tp.useMultiplier = true;
-    machine.addProcess(std::make_unique<DividerTrojan>(tp), 0);
-
-    DividerSpyParams sp;
-    sp.timing = timing;
-    sp.useMultiplier = true;
-    // Multiplier ops are 3 cycles: 20 ops -> 60 uncontended, 120
-    // contended; split the decode threshold between the plateaus.
-    sp.decodeThreshold = 90;
-    auto spy_owned = std::make_unique<DividerSpy>(sp);
-    DividerSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::IntegerMultiplier, opts.response);
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorMultiplier(key, 0, /*core=*/0);
-    result.deltaT = multiplierDeltaT;
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    result.quantaHistograms = daemon.contentionQuanta(0);
-    result.verdict =
-        daemon.analyzeContention(0, opts.thresholds.apply());
-    result.spySamples = spy->samples();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    result.conflictEvents = machine.multiplier(0).totalConflicts();
-    result.slotMeans = spy->slotMeans();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.contentionConfidence(0, result.verdict);
-    return result;
-}
-
-CacheScenarioResult
-runCacheScenario(const ScenarioOptions& opts)
-{
-    CacheScenarioResult result;
-    result.sent = resolveMessage(opts);
-    const ChannelTiming timing = makeTiming(opts);
-
-    MachineParams mp = makeMachine(opts);
-    // The cache channel experiments configure the 256 KB L2 with
-    // associativity 1 (4096 sets) so that each side implements the
-    // prime/probe conflict with a single line per set; see DESIGN.md
-    // for the substitution note.
-    mp.mem.l2 = CacheGeometry{256 * 1024, 1, 64};
-    Machine machine(mp);
-
-    CacheChannelLayout layout;
-    layout.l2NumSets = mp.mem.l2.numSets();
-    layout.lineSize = mp.mem.l2.lineSize;
-    layout.channelSets = opts.channelSets;
-    layout.linesPerSet = opts.linesPerSet;
-
-    const std::size_t rounds = opts.effectiveCacheRounds();
-
-    CacheTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.sent;
-    tp.layout = layout;
-    tp.roundsPerBit = rounds;
-    machine.addProcess(std::make_unique<CacheTrojan>(tp), 0);
-
-    CacheSpyParams sp;
-    sp.timing = timing;
-    sp.layout = layout;
-    sp.noiseEvery = opts.cacheNoiseEvery;
-    sp.dormantNoiseGap = opts.cacheDormantNoiseGap;
-    sp.roundsPerBit = rounds;
-    sp.seed = opts.seed + 7;
-    auto spy_owned = std::make_unique<CacheSpy>(sp);
-    CacheSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::L2Cache, opts.response);
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    if (opts.idealTracker)
-        auditor.monitorCacheIdeal(key, 0, /*core=*/0);
-    else
-        auditor.monitorCache(key, 0, /*core=*/0, opts.trackerParams);
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    result.records = daemon.conflictRecords(0);
-    result.labelSeries = daemon.labelSeries(0);
-    result.verdict =
-        daemon.analyzeOscillation(0, opts.thresholds.apply());
-    result.spyRatios = spy->ratios();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.sent, spy->decodedSlots());
-    if (auto* tracker = auditor.tracker(0))
-        result.trackedConflicts = tracker->conflictMisses();
-    if (auto* oracle = auditor.idealTracker(0))
-        result.trackedConflicts = oracle->conflictMisses();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.oscillationConfidence(0);
-    return result;
-}
-
-TlbScenarioResult
-runTlbScenario(const ScenarioOptions& opts)
-{
-    TlbScenarioResult result;
-    result.sent = resolveMessage(opts);
-    result.wire = resolveWire(opts, result.sent);
-    const ChannelTiming timing = makeTiming(opts);
-
-    MachineParams mp = makeMachine(opts);
-    // The TLB is off by default (keeping non-TLB runs bit-identical to
-    // the pre-TLB simulator); this scenario is what it exists for.
-    mp.mem.tlb.enabled = true;
-    Machine machine(mp);
-
-    const Tlb& tlb = machine.mem().tlb(0);
-    TlbChannelLayout layout;
-    layout.tlbNumSets = tlb.numSets();
-    layout.tlbWays = tlb.params().associativity;
-    layout.pageBytes = tlb.params().pageBytes;
-    layout.channelSets = opts.tlbChannelSets;
-
-    const std::size_t rounds = opts.effectiveCacheRounds();
-
-    TlbTrojanParams tp;
-    tp.timing = timing;
-    tp.message = result.wire;
-    tp.layout = layout;
-    tp.roundsPerBit = rounds;
-    machine.addProcess(std::make_unique<TlbTrojan>(tp), 0);
-
-    TlbSpyParams sp;
-    sp.timing = timing;
-    sp.layout = layout;
-    sp.roundsPerBit = rounds;
-    sp.seed = opts.seed + 7;
-    auto spy_owned = std::make_unique<TlbSpy>(sp);
-    TlbSpy* spy = spy_owned.get();
-    machine.addProcess(std::move(spy_owned), 1); // same core, HT 1
-
-    addNoise(machine, opts);
-    if (opts.response.active())
-        applyResponsePlan(machine, MonitorTarget::Tlb, opts.response);
-
-    CCAuditor auditor(machine);
-    FaultHarness faults(opts, auditor);
-    const AuditKey key = requestAuditKey(true);
-    auditor.monitorTlb(key, 0, /*core=*/0);
-    AuditDaemon daemon(machine, auditor);
-    faults.attach(daemon);
-
-    machine.runQuanta(opts.quanta);
-
-    result.records = daemon.conflictRecords(0);
-    result.labelSeries = daemon.labelSeries(0);
-    result.verdict =
-        daemon.analyzeOscillation(0, opts.thresholds.apply());
-    result.spyRatios = spy->ratios();
-    result.decoded = spy->decoded();
-    result.bitErrorRate =
-        slotBitErrorRate(result.wire, spy->decodedSlots());
-    result.payloadBitErrorRate = result.bitErrorRate;
-    if (opts.protocol.enabled) {
-        // Receiver's link layer: the decoded slots, in order, are its
-        // view of one wire pass (the trojan repeats cyclically, so
-        // slots past the wire length are retransmissions and the frame
-        // repeats inside the wire already vote them down).
-        std::vector<bool> received;
-        const std::size_t limit = std::min(result.decoded.size(),
-                                           result.wire.size());
-        received.reserve(limit);
-        for (std::size_t i = 0; i < limit; ++i)
-            received.push_back(result.decoded.bit(i));
-        const Message recovered = decodeProtocol(
-            Message::fromBits(std::move(received)), opts.protocol,
-            result.sent.size(), &result.protocolStats);
-        result.payloadBitErrorRate =
-            result.sent.bitErrorRate(recovered);
-    }
-    result.tlbConflicts = machine.mem().tlb(0).conflicts();
-    result.pipeline = daemon.pipelineStats();
-    result.degraded = daemon.degradedStats();
-    result.confidence = daemon.oscillationConfidence(0);
-    return result;
-}
-
-BenignScenarioResult
-runBenignPair(const std::string& a, const std::string& b,
-              const ScenarioOptions& opts)
-{
-    BenignScenarioResult result;
-
-    // Pass 1: audit the memory bus and core 0's divider.
-    {
-        Machine machine(makeMachine(opts));
-        machine.addProcess(makeBenchmark(a, opts.seed + 1), 0);
-        machine.addProcess(makeBenchmark(b, opts.seed + 2), 1);
-        addNoise(machine, opts);
-        if (opts.response.active())
-            applyResponsePlan(machine,
-                              {ContextId{0}, ContextId{1}},
-                              opts.response);
-
-        CCAuditor auditor(machine);
-        FaultHarness faults(opts, auditor);
-        const AuditKey key = requestAuditKey(true);
-        auditor.monitorBus(key, 0);
-        auditor.monitorDivider(key, 1, 0);
-        AuditDaemon daemon(machine, auditor);
-        faults.attach(daemon);
-        machine.runQuanta(opts.quanta);
-
-        result.busQuanta = daemon.contentionQuanta(0);
-        result.dividerQuanta = daemon.contentionQuanta(1);
-        result.busVerdict =
-            daemon.analyzeContention(0, opts.thresholds.apply());
-        result.dividerVerdict =
-            daemon.analyzeContention(1, opts.thresholds.apply());
-        result.pipeline.accumulate(daemon.pipelineStats());
-        result.degraded.accumulate(daemon.degradedStats());
-        result.confidence = std::min(
-            {result.confidence,
-             daemon.contentionConfidence(0, result.busVerdict),
-             daemon.contentionConfidence(1, result.dividerVerdict)});
-    }
-
-    // Pass 2: identical run auditing core 0's L2 cache instead (the
-    // auditor monitors at most two units at a time).
-    {
-        Machine machine(makeMachine(opts));
-        machine.addProcess(makeBenchmark(a, opts.seed + 1), 0);
-        machine.addProcess(makeBenchmark(b, opts.seed + 2), 1);
-        addNoise(machine, opts);
-        if (opts.response.active())
-            applyResponsePlan(machine,
-                              {ContextId{0}, ContextId{1}},
-                              opts.response);
-
-        CCAuditor auditor(machine);
-        FaultHarness faults(opts, auditor);
-        const AuditKey key = requestAuditKey(true);
-        auditor.monitorCache(key, 0, 0);
-        AuditDaemon daemon(machine, auditor);
-        faults.attach(daemon);
-        machine.runQuanta(opts.quanta);
-
-        result.cacheLabelSeries = daemon.labelSeries(0);
-        result.cacheVerdict =
-            daemon.analyzeOscillation(0, opts.thresholds.apply());
-        result.pipeline.accumulate(daemon.pipelineStats());
-        result.degraded.accumulate(daemon.degradedStats());
-        result.confidence = std::min(result.confidence,
-                                     daemon.oscillationConfidence(0));
-    }
-    return result;
 }
 
 } // namespace cchunter

@@ -11,20 +11,23 @@
 #define CCHUNTER_SCENARIO_EXPERIMENT_HH
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "auditor/daemon.hh"
+#include "channels/channel_spy.hh"
 #include "channels/evasion.hh"
 #include "channels/message.hh"
 #include "channels/protocol.hh"
 #include "detect/detector.hh"
-#include "detect/event_train.hh"
 #include "detect/indicator2.hh"
+#include "faults/fault_injector.hh"
 #include "faults/fault_plan.hh"
 #include "mitigate/response_plan.hh"
+#include "sim/machine.hh"
 #include "units/unit_registry.hh"
 #include "util/config.hh"
-#include "util/histogram.hh"
 #include "util/types.hh"
 
 namespace cchunter
@@ -95,14 +98,6 @@ struct ScenarioOptions
     Cycles busEvasionPeriod = 0;
 
     /**
-     * Record the raw indicator-event train for the first this-many
-     * ticks of the run (0 disables recording).  Used by the figure-4
-     * event-train plots; kept bounded because full-rate divider
-     * conflict trains are enormous.
-     */
-    Tick trainWindowTicks = 0;
-
-    /**
      * Deterministic fault-injection plan (robustness studies).  All
      * rates default to zero, which leaves the run bit-identical to an
      * uninstrumented one — no injector is even constructed.
@@ -145,117 +140,6 @@ Message expectedBits(const Message& sent, std::size_t n);
 double slotBitErrorRate(
     const Message& sent,
     const std::vector<std::pair<std::size_t, bool>>& decoded);
-
-/** Result of a memory-bus channel scenario. */
-struct BusScenarioResult
-{
-    std::vector<Histogram> quantaHistograms; //!< per-quantum densities
-    ContentionVerdict verdict;
-    std::vector<double> spySamples; //!< figure-2 series
-    Message sent;
-    Message decoded;
-    double bitErrorRate = 1.0;
-    std::uint64_t lockEvents = 0;
-    Tick deltaT = 0;
-    /** Lock-event train within options.trainWindowTicks. */
-    EventTrain eventTrain;
-    /** (bit slot, spy's mean access latency) per decoded slot. */
-    std::vector<std::pair<std::size_t, double>> slotMeans;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of an integer-divider channel scenario. */
-struct DividerScenarioResult
-{
-    std::vector<Histogram> quantaHistograms;
-    ContentionVerdict verdict;
-    std::vector<double> spySamples; //!< figure-3 series
-    Message sent;
-    Message decoded;
-    double bitErrorRate = 1.0;
-    std::uint64_t conflictEvents = 0;
-    Tick deltaT = 0;
-    /** Wait-conflict event train within options.trainWindowTicks. */
-    EventTrain eventTrain;
-    /** (bit slot, spy's mean loop latency) per decoded slot. */
-    std::vector<std::pair<std::size_t, double>> slotMeans;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of a shared-cache channel scenario. */
-struct CacheScenarioResult
-{
-    std::vector<ConflictRecord> records;
-    std::vector<double> labelSeries;
-    OscillationVerdict verdict;
-    std::vector<double> spyRatios; //!< figure-7 series
-    Message sent;
-    Message decoded;
-    double bitErrorRate = 1.0;
-    std::uint64_t trackedConflicts = 0;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of a shared-TLB channel scenario. */
-struct TlbScenarioResult
-{
-    std::vector<ConflictRecord> records;
-    std::vector<double> labelSeries;
-    OscillationVerdict verdict;
-    std::vector<double> spyRatios;
-    Message sent;    //!< the payload
-    Message wire;    //!< transmitted bits (== sent without protocol)
-    Message decoded; //!< spy's wire-level decode
-    /** Raw wire-slot BER (before any protocol decoding). */
-    double bitErrorRate = 1.0;
-    /** Payload BER after protocol decoding (== bitErrorRate when the
-     *  protocol is disabled). */
-    double payloadBitErrorRate = 1.0;
-    ProtocolDecodeStats protocolStats;
-    std::uint64_t tlbConflicts = 0;
-    /** Observation-pipeline health counters from the daemon. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon. */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
-
-/** Result of a benign pair run (false-alarm study). */
-struct BenignScenarioResult
-{
-    std::vector<Histogram> busQuanta;
-    std::vector<Histogram> dividerQuanta;
-    std::vector<double> cacheLabelSeries;
-    ContentionVerdict busVerdict;
-    ContentionVerdict dividerVerdict;
-    OscillationVerdict cacheVerdict;
-    /** Pipeline health accumulated across both audit passes. */
-    PipelineStats pipeline;
-    /** Degraded-operation ledger from the daemon (all zero when no
-     *  faults were injected). */
-    DegradedStats degraded;
-    /** Weakest alarm confidence observed (1.0 on a clean run). */
-    double confidence = 1.0;
-};
 
 // AuditedWorkload, BenignAuditUnits and the workload name maps now
 // live with the unit registry (units/unit_registry.hh): the scenario
@@ -374,13 +258,6 @@ std::size_t finalizeDeferredOscillations(
     std::vector<UnitOutcome*>& pending);
 
 /**
- * Result of one live-audited run: the online alarm stream (each alarm
- * carrying its channel signature and confidence) plus the pipeline and
- * degradation ledgers.  For a fixed option set this is deterministic —
- * including across analysisThreads values and the async hand-off under
- * Block — which is what lets the fleet auditor shard tenants freely.
- */
-/**
  * Ground-truth decode oracle of a channel run: what the spy actually
  * recovered, and the channel's effective bandwidth after accounting
  * for protocol overhead and the BSC capacity at the observed payload
@@ -414,6 +291,13 @@ struct ResponseEngagement
     ResponseLevel level = ResponseLevel::Observe;
 };
 
+/**
+ * Result of one live-audited run: the online alarm stream (each alarm
+ * carrying its channel signature and confidence) plus the pipeline and
+ * degradation ledgers.  For a fixed option set this is deterministic —
+ * including across analysisThreads values and the async hand-off under
+ * Block — which is what lets the fleet auditor shard tenants freely.
+ */
 struct OnlineAuditResult
 {
     std::vector<Alarm> alarms;
@@ -445,43 +329,68 @@ struct OnlineAuditResult
     std::vector<UnitOutcome> finalVerdicts;
 };
 
-/** Run one machine under live audit (the online-analysis cadence). */
+/**
+ * One live-audited run, built from the unit registry.  The constructor
+ * builds the machine, the workload (the unit's trojan/spy pair or the
+ * benign benchmark pair), the noise processes, the CC-Auditor, the
+ * fault injector, the whole-run response plan and the online daemon
+ * from the descriptor hooks; run() simulates the quanta; result()
+ * assembles the OnlineAuditResult from the live state.
+ *
+ * The live machine, daemon and spy stay reachable, so a figure bench
+ * reads what it plots (per-quantum histograms, label series, spy
+ * samples, unit counters) off the same run the fleet and the quality
+ * gate use, and may attach its own listeners between construction and
+ * run().
+ */
+class AuditRun
+{
+  public:
+    explicit AuditRun(const OnlineAuditOptions& options);
+
+    AuditRun(const AuditRun&) = delete;
+    AuditRun& operator=(const AuditRun&) = delete;
+
+    /** Simulate the scenario's quanta under live audit. */
+    void run();
+
+    /** The run's alarms, ledgers, decode oracle and end-of-run
+     *  verdicts, computed from the live state on each call. */
+    OnlineAuditResult result() const;
+
+    Machine& machine() { return *machine_; }
+    CCAuditor& auditor() { return *auditor_; }
+    const AuditDaemon& daemon() const { return *daemon_; }
+
+    /** The channel's receiver (nullptr for a benign pair). */
+    const ChannelSpy* spy() const { return spy_; }
+
+    /** The payload message and the wire bits actually transmitted
+     *  (protocol-coded when the protocol adversary is enabled). */
+    const Message& payload() const { return payload_; }
+    const Message& wire() const { return ctx_.message; }
+
+  private:
+    /** Engage a response plan on the run's pair. */
+    void applyPlan(const ResponsePlan& plan);
+
+    OnlineAuditOptions options_;
+    const UnitDescriptor* unit_ = nullptr;
+    Message payload_;
+    UnitRunContext ctx_;
+    OnlineAnalysisParams online_;
+    std::unique_ptr<Machine> machine_;
+    std::unique_ptr<CCAuditor> auditor_;
+    std::optional<FaultInjector> injector_;
+    const ChannelSpy* spy_ = nullptr;
+    ResponseEngagement response_;
+    // Declared last so it is destroyed first, while the machine and
+    // auditor it observes still exist.
+    std::unique_ptr<AuditDaemon> daemon_;
+};
+
+/** Run one machine under live audit: AuditRun's run() then result(). */
 OnlineAuditResult runOnlineAudit(const OnlineAuditOptions& options);
-
-/** Run the memory-bus covert channel under audit. */
-BusScenarioResult runBusScenario(const ScenarioOptions& options);
-
-/** Run the integer-divider covert channel under audit. */
-DividerScenarioResult runDividerScenario(const ScenarioOptions& options);
-
-/**
- * Run the Wang & Lee SMT/multiplier covert channel under audit.  Not
- * part of the paper's evaluation, but squarely inside its claim that
- * recurrent-conflict detection covers all shared processor hardware.
- * Result has the divider-scenario shape (the channels share the SMT
- * execution-unit mechanics).
- */
-DividerScenarioResult runMultiplierScenario(
-    const ScenarioOptions& options);
-
-/** Run the shared-L2 covert channel under audit. */
-CacheScenarioResult runCacheScenario(const ScenarioOptions& options);
-
-/**
- * Run the shared-TLB covert channel under audit (SMT siblings priming
- * and probing the per-core TLB's sets).  With options.protocol.enabled
- * the trojan transmits the protocol-coded payload and the result
- * carries both wire-level and decoded-payload error rates.
- */
-TlbScenarioResult runTlbScenario(const ScenarioOptions& options);
-
-/**
- * Run a benign benchmark pair as hyperthreads on core 0 and audit all
- * three resources (two passes honouring the two-slot auditor limit).
- */
-BenignScenarioResult runBenignPair(const std::string& a,
-                                   const std::string& b,
-                                   const ScenarioOptions& options);
 
 } // namespace cchunter
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "auditor/cc_auditor.hh"
@@ -24,6 +25,15 @@ namespace cchunter
 namespace
 {
 
+OnlineAuditOptions
+auditOf(AuditedWorkload workload, const ScenarioOptions& scenario)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = scenario;
+    return options;
+}
+
 /**
  * The CC-Auditor's hardware histogram buffer must agree with the
  * software-side density computation over the same raw event train.
@@ -35,17 +45,27 @@ TEST(PipelineTest, HardwareHistogramMatchesOfflineComputation)
     opts.quantum = 2000000; // exactly 20 delta-t windows of 100k
     opts.quanta = 1;
     opts.noiseProcesses = 0;
-    opts.trainWindowTicks = opts.quantum;
 
-    const BusScenarioResult r = runBusScenario(opts);
-    ASSERT_EQ(r.quantaHistograms.size(), 1u);
+    AuditRun run(auditOf(AuditedWorkload::Bus, opts));
+    std::vector<Tick> locks;
+    run.machine().mem().bus().addLockListener(
+        [&locks, &opts](Tick when, ContextId) {
+            if (when < opts.quantum)
+                locks.push_back(when);
+        });
+    run.run();
+    const std::vector<Histogram> quanta = run.daemon().contentionQuanta(0);
+    ASSERT_EQ(quanta.size(), 1u);
 
-    EventTrain train = r.eventTrain;
+    std::sort(locks.begin(), locks.end());
+    EventTrain train;
+    for (const Tick t : locks)
+        train.addEvent(t);
     train.setWindow(0, opts.quantum);
     const Histogram offline =
         buildEventDensityHistogram(train, busDeltaT, 128);
 
-    const Histogram& hardware = r.quantaHistograms[0];
+    const Histogram& hardware = quanta[0];
     ASSERT_EQ(offline.totalSamples(), hardware.totalSamples());
     for (std::size_t b = 0; b < 128; ++b)
         EXPECT_EQ(offline.bin(b), hardware.bin(b)) << "bin " << b;
@@ -67,14 +87,16 @@ TEST(PipelineTest, CacheChannelRunStructureMatchesSets)
     opts.noiseProcesses = 0;
     opts.cacheRoundsPerBit = 1;
 
-    const CacheScenarioResult r = runCacheScenario(opts);
-    ASSERT_GT(r.labelSeries.size(), 512u);
+    AuditRun audit(auditOf(AuditedWorkload::Cache, opts));
+    audit.run();
+    const std::vector<double> labels = audit.daemon().labelSeries(0);
+    ASSERT_GT(labels.size(), 512u);
 
     // Measure run lengths after warm-up.
     std::vector<std::size_t> runs;
     std::size_t run = 1;
-    for (std::size_t i = 257; i < r.labelSeries.size(); ++i) {
-        if (r.labelSeries[i] == r.labelSeries[i - 1]) {
+    for (std::size_t i = 257; i < labels.size(); ++i) {
+        if (labels[i] == labels[i - 1]) {
             ++run;
         } else {
             runs.push_back(run);
@@ -154,11 +176,13 @@ TEST(PipelineTest, DividerConflictsRequireCoResidency)
 
     // All-zero message: the trojan never contends, so the spy's
     // divisions run unconflicted and nothing is detected.
-    const DividerScenarioResult r = runDividerScenario(opts);
-    EXPECT_EQ(r.conflictEvents, 0u);
-    EXPECT_FALSE(r.verdict.detected);
+    AuditRun run(auditOf(AuditedWorkload::Divider, opts));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    EXPECT_EQ(run.machine().divider(0).totalConflicts(), 0u);
+    EXPECT_FALSE(r.finalVerdicts[0].contention.detected);
     // And the spy decodes all zeros.
-    EXPECT_LT(r.bitErrorRate, 0.05);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
 }
 
 /** The whole pipeline is deterministic per seed, channel by channel. */
@@ -168,12 +192,16 @@ TEST(PipelineTest, CacheScenarioDeterministic)
     opts.bandwidthBps = 1000.0;
     opts.quantum = 2500000;
     opts.quanta = 4;
-    const CacheScenarioResult a = runCacheScenario(opts);
-    const CacheScenarioResult b = runCacheScenario(opts);
-    ASSERT_EQ(a.labelSeries.size(), b.labelSeries.size());
-    EXPECT_EQ(a.labelSeries, b.labelSeries);
-    EXPECT_EQ(a.verdict.analysis.dominantLag,
-              b.verdict.analysis.dominantLag);
+    AuditRun a(auditOf(AuditedWorkload::Cache, opts));
+    AuditRun b(auditOf(AuditedWorkload::Cache, opts));
+    a.run();
+    b.run();
+    ASSERT_EQ(a.daemon().conflictWindow(0).size(),
+              b.daemon().conflictWindow(0).size());
+    EXPECT_EQ(a.daemon().labelSeries(0), b.daemon().labelSeries(0));
+    EXPECT_EQ(
+        a.result().finalVerdicts[0].oscillation.analysis.dominantLag,
+        b.result().finalVerdicts[0].oscillation.analysis.dominantLag);
 }
 
 /** Different seeds change interference but not verdicts. */
@@ -188,9 +216,11 @@ TEST_P(SeedSweepTest, DetectionRobustAcrossSeeds)
     opts.quantum = 2500000;
     opts.quanta = 6;
     opts.seed = GetParam();
-    const BusScenarioResult bus = runBusScenario(opts);
-    EXPECT_TRUE(bus.verdict.detected) << "seed " << GetParam();
-    EXPECT_LT(bus.bitErrorRate, 0.1) << "seed " << GetParam();
+    const OnlineAuditResult bus =
+        runOnlineAudit(auditOf(AuditedWorkload::Bus, opts));
+    EXPECT_TRUE(bus.finalVerdicts[0].contention.detected)
+        << "seed " << GetParam();
+    EXPECT_LT(bus.channel.wireBitErrorRate, 0.1) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweepTest,

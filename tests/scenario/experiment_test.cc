@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include "channels/bus_channel.hh"
 #include "scenario/experiment.hh"
 
 namespace cchunter
 {
 namespace
 {
+
+OnlineAuditOptions
+auditOf(AuditedWorkload workload, const ScenarioOptions& scenario)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = scenario;
+    return options;
+}
 
 /** Small quanta keep integration tests fast while preserving the
  *  delta-t window structure. */
@@ -47,35 +57,43 @@ TEST(ScenarioOptionsTest, SignalCapDefaults)
 
 TEST(BusScenarioTest, DetectsAndDecodes)
 {
-    auto r = runBusScenario(fastOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.verdict.recurrence.maxLikelihoodRatio, 0.9);
-    EXPECT_LT(r.bitErrorRate, 0.05);
-    EXPECT_GT(r.lockEvents, 100u);
-    EXPECT_EQ(r.quantaHistograms.size(), 8u);
-    EXPECT_FALSE(r.spySamples.empty());
+    AuditRun run(auditOf(AuditedWorkload::Bus, fastOptions()));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    const ContentionVerdict& v = r.finalVerdicts[0].contention;
+    EXPECT_TRUE(v.detected);
+    EXPECT_GT(v.recurrence.maxLikelihoodRatio, 0.9);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
+    EXPECT_GT(run.machine().mem().bus().locks(), 100u);
+    EXPECT_EQ(run.daemon().contentionQuanta(0).size(), 8u);
+    EXPECT_FALSE(dynamic_cast<const BusSpy&>(*run.spy()).samples().empty());
 }
 
 TEST(BusScenarioTest, BurstPeakNearTwentyLocksPerWindow)
 {
-    auto r = runBusScenario(fastOptions());
+    const OnlineAuditResult r =
+        runOnlineAudit(auditOf(AuditedWorkload::Bus, fastOptions()));
     // Locks are paced every 5000 cycles; delta-t = 100k -> bursts of
     // ~20 (paper figure 6a).
-    EXPECT_NEAR(static_cast<double>(r.verdict.combined.burstPeakBin),
+    EXPECT_NEAR(static_cast<double>(
+                    r.finalVerdicts[0].contention.combined.burstPeakBin),
                 20.0, 3.0);
 }
 
 TEST(DividerScenarioTest, DetectsAndDecodes)
 {
-    auto r = runDividerScenario(fastOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.verdict.recurrence.maxLikelihoodRatio, 0.9);
-    EXPECT_LT(r.bitErrorRate, 0.05);
-    EXPECT_GT(r.conflictEvents, 1000u);
+    AuditRun run(auditOf(AuditedWorkload::Divider, fastOptions()));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    const ContentionVerdict& v = r.finalVerdicts[0].contention;
+    EXPECT_TRUE(v.detected);
+    EXPECT_GT(v.recurrence.maxLikelihoodRatio, 0.9);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
+    EXPECT_GT(run.machine().divider(0).totalConflicts(), 1000u);
     // Burst cluster near 96 wait-conflicts per 500-cycle window
     // (paper figure 6b: bins 84-105).
-    EXPECT_GE(r.verdict.combined.burstPeakBin, 84u);
-    EXPECT_LE(r.verdict.combined.burstPeakBin, 105u);
+    EXPECT_GE(v.combined.burstPeakBin, 84u);
+    EXPECT_LE(v.combined.burstPeakBin, 105u);
 }
 
 TEST(CacheScenarioTest, DetectsOscillationNearSetCount)
@@ -84,14 +102,17 @@ TEST(CacheScenarioTest, DetectsOscillationNearSetCount)
     opts.bandwidthBps = 1000.0; // one bit per ms quantum
     opts.quanta = 16;
     opts.channelSets = 512;
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    AuditRun run(auditOf(AuditedWorkload::Cache, opts));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    const OscillationVerdict& v = r.finalVerdicts[0].oscillation;
+    EXPECT_TRUE(v.detected);
     // Dominant lag tracks the set count, slightly inflated by noise
     // (paper: 533 for 512 sets).
-    EXPECT_GE(r.verdict.analysis.dominantLag, 500u);
-    EXPECT_LE(r.verdict.analysis.dominantLag, 600u);
-    EXPECT_LT(r.bitErrorRate, 0.2);
-    EXPECT_FALSE(r.records.empty());
+    EXPECT_GE(v.analysis.dominantLag, 500u);
+    EXPECT_LE(v.analysis.dominantLag, 600u);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.2);
+    EXPECT_FALSE(run.daemon().conflictRecords(0).empty());
 }
 
 TEST(CacheScenarioTest, FewerSetsShorterPeriod)
@@ -100,19 +121,25 @@ TEST(CacheScenarioTest, FewerSetsShorterPeriod)
     opts.bandwidthBps = 1000.0;
     opts.quanta = 12;
     opts.channelSets = 128;
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GE(r.verdict.analysis.dominantLag, 120u);
-    EXPECT_LE(r.verdict.analysis.dominantLag, 180u);
+    const OscillationVerdict v =
+        runOnlineAudit(auditOf(AuditedWorkload::Cache, opts))
+            .finalVerdicts[0]
+            .oscillation;
+    EXPECT_TRUE(v.detected);
+    EXPECT_GE(v.analysis.dominantLag, 120u);
+    EXPECT_LE(v.analysis.dominantLag, 180u);
 }
 
 TEST(MultiplierScenarioTest, DetectsAndDecodes)
 {
-    auto r = runMultiplierScenario(fastOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.verdict.recurrence.maxLikelihoodRatio, 0.9);
-    EXPECT_LT(r.bitErrorRate, 0.05);
-    EXPECT_GT(r.conflictEvents, 1000u);
+    AuditRun run(auditOf(AuditedWorkload::Multiplier, fastOptions()));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    const ContentionVerdict& v = r.finalVerdicts[0].contention;
+    EXPECT_TRUE(v.detected);
+    EXPECT_GT(v.recurrence.maxLikelihoodRatio, 0.9);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.05);
+    EXPECT_GT(run.machine().multiplier(0).totalConflicts(), 1000u);
 }
 
 TEST(BusScenarioTest, EvasionKeepsDetectionKillsChannel)
@@ -122,10 +149,11 @@ TEST(BusScenarioTest, EvasionKeepsDetectionKillsChannel)
     opts.quanta = 6;
     // Decoys at the signalling rate: every window looks contended.
     opts.busEvasionPeriod = 5000;
-    auto r = runBusScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    const OnlineAuditResult r =
+        runOnlineAudit(auditOf(AuditedWorkload::Bus, opts));
+    EXPECT_TRUE(r.finalVerdicts[0].contention.detected);
     // The spy can no longer tell '1' slots from decoyed '0' slots.
-    EXPECT_GT(r.bitErrorRate, 0.2);
+    EXPECT_GT(r.channel.wireBitErrorRate, 0.2);
 }
 
 TEST(BenignScenarioTest, NoFalseAlarms)
@@ -133,10 +161,20 @@ TEST(BenignScenarioTest, NoFalseAlarms)
     ScenarioOptions opts = fastOptions();
     opts.quanta = 4;
     for (const char* name : {"gobmk", "mailserver"}) {
-        auto r = runBenignPair(name, name, opts);
-        EXPECT_FALSE(r.busVerdict.detected) << name;
-        EXPECT_FALSE(r.dividerVerdict.detected) << name;
-        EXPECT_FALSE(r.cacheVerdict.detected) << name;
+        // Bus + divider, then the L2 with the bus: every unit of the
+        // pair judged, two slots at a time.
+        for (const BenignAuditUnits units :
+             {BenignAuditUnits::BusDivider, BenignAuditUnits::CacheBus}) {
+            OnlineAuditOptions audit =
+                auditOf(AuditedWorkload::BenignPair, opts);
+            audit.benignA = audit.benignB = name;
+            audit.benignUnits = units;
+            const OnlineAuditResult r = runOnlineAudit(audit);
+            ASSERT_EQ(r.finalVerdicts.size(), 2u);
+            for (const UnitOutcome& outcome : r.finalVerdicts)
+                EXPECT_FALSE(outcome.detected)
+                    << name << " " << monitorTargetName(outcome.unit);
+        }
     }
 }
 
@@ -147,9 +185,11 @@ TEST(CacheScenarioTest, IdealTrackerAlsoDetects)
     opts.quanta = 12;
     opts.channelSets = 128;
     opts.idealTracker = true;
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GT(r.trackedConflicts, 0u);
+    AuditRun run(auditOf(AuditedWorkload::Cache, opts));
+    run.run();
+    EXPECT_TRUE(run.result().finalVerdicts[0].oscillation.detected);
+    ASSERT_NE(run.auditor().idealTracker(0), nullptr);
+    EXPECT_GT(run.auditor().idealTracker(0)->conflictMisses(), 0u);
 }
 
 TEST(CacheScenarioTest, StarvedBloomStillDetects)
@@ -159,20 +199,26 @@ TEST(CacheScenarioTest, StarvedBloomStillDetects)
     opts.quanta = 12;
     opts.channelSets = 128;
     opts.trackerParams.bloomBitsPerGeneration = 256; // N/16
-    auto r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    EXPECT_TRUE(runOnlineAudit(auditOf(AuditedWorkload::Cache, opts))
+                    .finalVerdicts[0]
+                    .oscillation.detected);
 }
 
 TEST(ScenarioTest, DeterministicForSeed)
 {
     ScenarioOptions opts = fastOptions();
     opts.quanta = 3;
-    auto a = runBusScenario(opts);
-    auto b = runBusScenario(opts);
-    EXPECT_EQ(a.lockEvents, b.lockEvents);
-    EXPECT_EQ(a.decoded.toString(), b.decoded.toString());
-    EXPECT_DOUBLE_EQ(a.verdict.combined.likelihoodRatio,
-                     b.verdict.combined.likelihoodRatio);
+    AuditRun a(auditOf(AuditedWorkload::Bus, opts));
+    AuditRun b(auditOf(AuditedWorkload::Bus, opts));
+    a.run();
+    b.run();
+    EXPECT_EQ(a.machine().mem().bus().locks(),
+              b.machine().mem().bus().locks());
+    EXPECT_EQ(a.spy()->decoded().toString(),
+              b.spy()->decoded().toString());
+    EXPECT_DOUBLE_EQ(
+        a.result().finalVerdicts[0].contention.combined.likelihoodRatio,
+        b.result().finalVerdicts[0].contention.combined.likelihoodRatio);
 }
 
 TEST(ScenarioTest, MessagePropagates)
@@ -180,17 +226,19 @@ TEST(ScenarioTest, MessagePropagates)
     ScenarioOptions opts = fastOptions();
     opts.quanta = 3;
     opts.message = Message::fromBits({true, true, false, true});
-    auto r = runBusScenario(opts);
-    EXPECT_EQ(r.sent.toString(), "1101");
+    const AuditRun run(auditOf(AuditedWorkload::Bus, opts));
+    EXPECT_EQ(run.payload().toString(), "1101");
+    EXPECT_EQ(run.wire().toString(), "1101");
 }
 
 TEST(ScenarioTest, PipelineStatsPopulated)
 {
     ScenarioOptions opts = fastOptions();
     opts.quanta = 3;
-    auto r = runBusScenario(opts);
+    const OnlineAuditResult r =
+        runOnlineAudit(auditOf(AuditedWorkload::Bus, opts));
     // One monitored slot, three quanta drained, nothing evicted (the
-    // run is far below the 512-quantum retention default).
+    // online retention spans the whole run).
     EXPECT_EQ(r.pipeline.drainedHistograms, 3u);
     EXPECT_EQ(r.pipeline.evictedQuanta, 0u);
     EXPECT_FALSE(r.pipeline.summary().empty());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fault-matrix scenario tests: the canned trojan/spy scenarios driven
+ * Fault-matrix scenario tests: live-audited trojan/spy runs driven
  * through seeded fault plans.  Detection must survive moderate fault
  * rates with honestly degraded confidence, fault-free plans must leave
  * scenario results bit-identical to pre-fault-injection runs, and any
@@ -15,6 +15,21 @@ namespace cchunter
 {
 namespace
 {
+
+OnlineAuditOptions
+auditOf(AuditedWorkload workload, const ScenarioOptions& scenario)
+{
+    OnlineAuditOptions options;
+    options.workload = workload;
+    options.scenario = scenario;
+    return options;
+}
+
+OnlineAuditResult
+audit(AuditedWorkload workload, const ScenarioOptions& scenario)
+{
+    return runOnlineAudit(auditOf(workload, scenario));
+}
 
 ScenarioOptions
 fastOptions()
@@ -34,17 +49,25 @@ TEST(FaultMatrixTest, CleanPlanLeavesDividerRunUntouched)
     ScenarioOptions with_plan = fastOptions();
     with_plan.faults = FaultPlan{}; // explicit all-zero plan
 
-    const DividerScenarioResult a = runDividerScenario(clean);
-    const DividerScenarioResult b = runDividerScenario(with_plan);
+    AuditRun clean_run(auditOf(AuditedWorkload::Divider, clean));
+    AuditRun plan_run(auditOf(AuditedWorkload::Divider, with_plan));
+    clean_run.run();
+    plan_run.run();
+    const OnlineAuditResult a = clean_run.result();
+    const OnlineAuditResult b = plan_run.result();
 
-    EXPECT_EQ(a.verdict.summary(), b.verdict.summary());
-    EXPECT_EQ(a.decoded.toString(), b.decoded.toString());
-    EXPECT_DOUBLE_EQ(a.bitErrorRate, b.bitErrorRate);
-    EXPECT_EQ(a.conflictEvents, b.conflictEvents);
+    EXPECT_EQ(a.finalVerdicts[0].contention.summary(),
+              b.finalVerdicts[0].contention.summary());
+    EXPECT_EQ(clean_run.spy()->decoded().toString(),
+              plan_run.spy()->decoded().toString());
+    EXPECT_DOUBLE_EQ(a.channel.wireBitErrorRate,
+                     b.channel.wireBitErrorRate);
+    EXPECT_EQ(clean_run.machine().divider(0).totalConflicts(),
+              plan_run.machine().divider(0).totalConflicts());
     EXPECT_EQ(a.degraded.totalFaults(), 0u);
     EXPECT_EQ(b.degraded.totalFaults(), 0u);
-    EXPECT_DOUBLE_EQ(a.confidence, 1.0);
-    EXPECT_DOUBLE_EQ(b.confidence, 1.0);
+    EXPECT_DOUBLE_EQ(a.finalVerdicts[0].confidence, 1.0);
+    EXPECT_DOUBLE_EQ(b.finalVerdicts[0].confidence, 1.0);
     // Clean config dumps carry no faults.* keys.
     EXPECT_EQ(scenarioConfig(clean).dump(),
               scenarioConfig(with_plan).dump());
@@ -59,14 +82,15 @@ TEST(FaultMatrixTest, DividerDetectsAtTenPercentLoss)
     opts.faults.seed = 4;
     opts.faults.dropQuantumRate = 0.10;
 
-    const DividerScenarioResult r = runDividerScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_GE(r.verdict.combined.likelihoodRatio, 0.9);
+    const OnlineAuditResult r = audit(AuditedWorkload::Divider, opts);
+    const UnitOutcome& outcome = r.finalVerdicts[0];
+    EXPECT_TRUE(outcome.contention.detected);
+    EXPECT_GE(outcome.contention.combined.likelihoodRatio, 0.9);
     if (r.degraded.missedQuanta > 0) {
         EXPECT_LT(r.degraded.windowCoverage, 1.0);
-        EXPECT_LT(r.confidence, 1.0);
+        EXPECT_LT(outcome.confidence, 1.0);
     }
-    EXPECT_GT(r.confidence, 0.0);
+    EXPECT_GT(outcome.confidence, 0.0);
 }
 
 TEST(FaultMatrixTest, SeededScenarioRunsAreDeterministic)
@@ -77,11 +101,13 @@ TEST(FaultMatrixTest, SeededScenarioRunsAreDeterministic)
     opts.faults.duplicateQuantumRate = 0.05;
     opts.faults.saturatePaperWidths = true;
 
-    const DividerScenarioResult a = runDividerScenario(opts);
-    const DividerScenarioResult b = runDividerScenario(opts);
+    const OnlineAuditResult a = audit(AuditedWorkload::Divider, opts);
+    const OnlineAuditResult b = audit(AuditedWorkload::Divider, opts);
 
-    EXPECT_EQ(a.verdict.summary(), b.verdict.summary());
-    EXPECT_DOUBLE_EQ(a.confidence, b.confidence);
+    EXPECT_EQ(a.finalVerdicts[0].contention.summary(),
+              b.finalVerdicts[0].contention.summary());
+    EXPECT_DOUBLE_EQ(a.finalVerdicts[0].confidence,
+                     b.finalVerdicts[0].confidence);
     EXPECT_EQ(a.degraded.missedQuanta, b.degraded.missedQuanta);
     EXPECT_EQ(a.degraded.duplicatedQuanta, b.degraded.duplicatedQuanta);
     EXPECT_EQ(a.degraded.saturatedBinEvents,
@@ -104,11 +130,11 @@ TEST(FaultMatrixTest, CacheScenarioDegradesGracefully)
     opts.faults.truncateBatchRate = 0.1;
     opts.faults.bloomAliasRate = 0.001;
 
-    const CacheScenarioResult r = runCacheScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    const OnlineAuditResult r = audit(AuditedWorkload::Cache, opts);
+    EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
     EXPECT_GT(r.degraded.totalFaults(), 0u);
-    EXPECT_LT(r.confidence, 1.0);
-    EXPECT_GT(r.confidence, 0.0);
+    EXPECT_LT(r.finalVerdicts[0].confidence, 1.0);
+    EXPECT_GT(r.finalVerdicts[0].confidence, 0.0);
 }
 
 TEST(FaultMatrixTest, BenignPairStaysQuietUnderFaults)
@@ -124,13 +150,22 @@ TEST(FaultMatrixTest, BenignPairStaysQuietUnderFaults)
     opts.faults.dropQuantumRate = 0.1;
     opts.faults.saturatePaperWidths = true;
 
-    const BenignScenarioResult r =
-        runBenignPair("gobmk", "sjeng", opts);
-    EXPECT_FALSE(r.busVerdict.detected);
-    EXPECT_FALSE(r.dividerVerdict.detected);
-    EXPECT_FALSE(r.cacheVerdict.detected);
-    EXPECT_LE(r.confidence, 1.0);
-    EXPECT_GT(r.confidence, 0.0);
+    for (const BenignAuditUnits units :
+         {BenignAuditUnits::BusDivider, BenignAuditUnits::CacheBus}) {
+        OnlineAuditOptions options =
+            auditOf(AuditedWorkload::BenignPair, opts);
+        options.benignA = "gobmk";
+        options.benignB = "sjeng";
+        options.benignUnits = units;
+        const OnlineAuditResult r = runOnlineAudit(options);
+        ASSERT_EQ(r.finalVerdicts.size(), 2u);
+        for (const UnitOutcome& outcome : r.finalVerdicts) {
+            EXPECT_FALSE(outcome.detected)
+                << monitorTargetName(outcome.unit);
+            EXPECT_LE(outcome.confidence, 1.0);
+            EXPECT_GT(outcome.confidence, 0.0);
+        }
+    }
 }
 
 } // namespace

@@ -1,23 +1,15 @@
 /**
  * @file
- * Equivalence tests for the analysis fast paths of a live-audited run.
- *
- * Two independent optimisations must never change what a run reports:
- *
- *  - the incremental sliding-window autocorrelation maintainer (config
- *    key `analysis.incrementalAutocorr`, with the full-recompute
- *    debug flag as the reference), and
- *  - deferred end-of-run oscillation verdicts resolved through the
- *    batched FFT pass (finalizeDeferredOscillations), versus the
- *    inline per-run transforms.
- *
- * The alarm stream is compared field by field and the final verdicts
- * by decision and analysis content.
+ * Equivalence test for deferred end-of-run oscillation verdicts: the
+ * batched FFT pass (finalizeDeferredOscillations) must reproduce the
+ * inline per-run transforms bit for bit.  Both resolve the verdict
+ * through the same full-window transform of the retained label
+ * series, so the alarm stream is compared field by field and the
+ * final verdicts by decision and exact correlogram.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "scenario/experiment.hh"
@@ -57,76 +49,14 @@ expectSameAlarms(const OnlineAuditResult& a, const OnlineAuditResult& b)
     }
 }
 
-TEST(IncrementalOnlineTest, AlarmsIdenticalToFullRecompute)
-{
-    for (const std::uint64_t seed : {2ull, 5ull, 9ull}) {
-        OnlineAuditOptions incremental = cacheAudit(seed);
-        incremental.online.incrementalAutocorr = true;
-
-        OnlineAuditOptions recompute = cacheAudit(seed);
-        recompute.online.incrementalAutocorr = true;
-        recompute.online.debugRecomputeAutocorr = true;
-
-        OnlineAuditOptions disabled = cacheAudit(seed);
-        disabled.online.incrementalAutocorr = false;
-
-        const OnlineAuditResult fast = runOnlineAudit(incremental);
-        const OnlineAuditResult reference = runOnlineAudit(recompute);
-        const OnlineAuditResult off = runOnlineAudit(disabled);
-
-        expectSameAlarms(fast, reference);
-        expectSameAlarms(fast, off);
-        EXPECT_EQ(fast.quantaRecorded, reference.quantaRecorded);
-
-        ASSERT_EQ(fast.finalVerdicts.size(),
-                  reference.finalVerdicts.size());
-        for (std::size_t i = 0; i < fast.finalVerdicts.size(); ++i) {
-            const UnitOutcome& f = fast.finalVerdicts[i];
-            const UnitOutcome& r = reference.finalVerdicts[i];
-            EXPECT_EQ(f.detected, r.detected) << "unit " << i;
-            EXPECT_EQ(f.kind, r.kind) << "unit " << i;
-            EXPECT_EQ(f.confidence, r.confidence) << "unit " << i;
-        }
-    }
-}
-
-TEST(IncrementalOnlineTest, CorrelogramAgreesWithinTolerance)
-{
-    // The per-quantum verdicts behind the alarms must carry the same
-    // oscillation analysis: incremental sums drift from the direct
-    // evaluation by no more than 1e-9 per coefficient.
-    OnlineAuditOptions incremental = cacheAudit(3);
-    OnlineAuditOptions recompute = cacheAudit(3);
-    recompute.online.debugRecomputeAutocorr = true;
-
-    const OnlineAuditResult fast = runOnlineAudit(incremental);
-    const OnlineAuditResult reference = runOnlineAudit(recompute);
-
-    ASSERT_EQ(fast.finalVerdicts.size(),
-              reference.finalVerdicts.size());
-    for (std::size_t i = 0; i < fast.finalVerdicts.size(); ++i) {
-        const auto& f = fast.finalVerdicts[i].oscillation.analysis;
-        const auto& r =
-            reference.finalVerdicts[i].oscillation.analysis;
-        ASSERT_EQ(f.correlogram.size(), r.correlogram.size());
-        for (std::size_t lag = 0; lag < f.correlogram.size(); ++lag)
-            EXPECT_NEAR(f.correlogram[lag], r.correlogram[lag], 1e-9)
-                << "unit " << i << " lag " << lag;
-    }
-}
-
 TEST(DeferredOscillationTest, BatchedFinalizeMatchesInlineVerdicts)
 {
     for (const std::uint64_t seed : {2ull, 7ull}) {
-        // The inline reference disables the incremental maintainer so
-        // its end-of-run verdicts come from the same full transform
-        // the deferred pass performs — those must then be
-        // bit-identical.  (Incremental-vs-full agreement is pinned
-        // separately, with a tolerance, by IncrementalOnlineTest.)
-        OnlineAuditOptions inlineOptions = cacheAudit(seed);
-        inlineOptions.online.incrementalAutocorr = false;
+        // Default options on both sides: the inline verdict and the
+        // deferred pass run the same full transform, so they must be
+        // bit-identical.
         const OnlineAuditResult inlineRun =
-            runOnlineAudit(inlineOptions);
+            runOnlineAudit(cacheAudit(seed));
 
         OnlineAuditOptions deferredOptions = cacheAudit(seed);
         deferredOptions.deferOscillationVerdicts = true;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "channels/tlb_channel.hh"
 #include "scenario/experiment.hh"
 
 namespace cchunter
@@ -20,18 +21,30 @@ tlbOptions()
     return opts;
 }
 
+OnlineAuditOptions
+tlbAudit(const ScenarioOptions& scenario)
+{
+    OnlineAuditOptions options;
+    options.workload = AuditedWorkload::Tlb;
+    options.scenario = scenario;
+    return options;
+}
+
 TEST(TlbScenarioTest, DetectsOscillationAndDecodes)
 {
-    const auto r = runTlbScenario(tlbOptions());
-    EXPECT_TRUE(r.verdict.detected);
-    EXPECT_FALSE(r.records.empty());
-    EXPECT_FALSE(r.spyRatios.empty());
-    EXPECT_GT(r.tlbConflicts, 0u);
-    EXPECT_LT(r.bitErrorRate, 0.2);
+    AuditRun run(tlbAudit(tlbOptions()));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
+    EXPECT_FALSE(run.daemon().conflictRecords(0).empty());
+    EXPECT_FALSE(dynamic_cast<const TlbSpy&>(*run.spy()).ratios().empty());
+    EXPECT_GT(run.machine().mem().tlb(0).conflicts(), 0u);
+    EXPECT_LT(r.channel.wireBitErrorRate, 0.2);
     // No protocol: the wire is the payload and both error rates agree.
-    EXPECT_EQ(r.wire.toString(), r.sent.toString());
-    EXPECT_DOUBLE_EQ(r.payloadBitErrorRate, r.bitErrorRate);
-    EXPECT_EQ(r.protocolStats.frames, 0u);
+    EXPECT_EQ(run.wire().toString(), run.payload().toString());
+    EXPECT_DOUBLE_EQ(r.channel.payloadBitErrorRate,
+                     r.channel.wireBitErrorRate);
+    EXPECT_EQ(r.channel.protocolStats.frames, 0u);
 }
 
 TEST(TlbScenarioTest, ProtocolCodingRecoversThePayload)
@@ -44,34 +57,36 @@ TEST(TlbScenarioTest, ProtocolCodingRecoversThePayload)
     opts.message = Message::fromBits(
         {true, false, true, true, false, false, true, false});
     opts.bandwidthBps = 10000.0;
-    const auto r = runTlbScenario(opts);
-    EXPECT_TRUE(r.verdict.detected);
+    AuditRun run(tlbAudit(opts));
+    run.run();
+    const OnlineAuditResult r = run.result();
+    EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
     // The wire burst is longer than the payload (preamble + repeats +
     // parity + gap) and the spy decodes it back through the protocol.
-    EXPECT_EQ(r.wire.size(), opts.protocol.burstBits());
-    EXPECT_GT(r.wire.size(), r.sent.size());
-    EXPECT_GT(r.protocolStats.frames, 0u);
-    EXPECT_LE(r.payloadBitErrorRate, r.bitErrorRate);
-    EXPECT_LT(r.payloadBitErrorRate, 0.05);
+    EXPECT_EQ(run.wire().size(), opts.protocol.burstBits());
+    EXPECT_GT(run.wire().size(), run.payload().size());
+    EXPECT_GT(r.channel.protocolStats.frames, 0u);
+    EXPECT_LE(r.channel.payloadBitErrorRate, r.channel.wireBitErrorRate);
+    EXPECT_LT(r.channel.payloadBitErrorRate, 0.05);
 }
 
 TEST(TlbScenarioTest, DeterministicForSeed)
 {
     ScenarioOptions opts = tlbOptions();
     opts.quanta = 6;
-    const auto a = runTlbScenario(opts);
-    const auto b = runTlbScenario(opts);
-    EXPECT_EQ(a.decoded.toString(), b.decoded.toString());
-    EXPECT_EQ(a.labelSeries, b.labelSeries);
-    EXPECT_EQ(a.tlbConflicts, b.tlbConflicts);
+    AuditRun a(tlbAudit(opts));
+    AuditRun b(tlbAudit(opts));
+    a.run();
+    b.run();
+    EXPECT_EQ(a.spy()->decoded().toString(), b.spy()->decoded().toString());
+    EXPECT_EQ(a.daemon().labelSeries(0), b.daemon().labelSeries(0));
+    EXPECT_EQ(a.machine().mem().tlb(0).conflicts(),
+              b.machine().mem().tlb(0).conflicts());
 }
 
 TEST(TlbOnlineAuditTest, TlbWorkloadJudgedByOscillationPath)
 {
-    OnlineAuditOptions options;
-    options.workload = AuditedWorkload::Tlb;
-    options.scenario = tlbOptions();
-    const OnlineAuditResult r = runOnlineAudit(options);
+    const OnlineAuditResult r = runOnlineAudit(tlbAudit(tlbOptions()));
     ASSERT_EQ(r.finalVerdicts.size(), 1u);
     const UnitOutcome& outcome = r.finalVerdicts[0];
     EXPECT_EQ(outcome.unit, MonitorTarget::Tlb);
