@@ -117,8 +117,14 @@ main(int argc, char** argv)
     for (const CalibrationBucket& b : report.calibration) {
         if (!b.alarms)
             continue;
-        calib.addRow({"[" + fmtDouble(b.lo, 2) + ", " +
-                          fmtDouble(b.hi, 2) + ")",
+        // Appended piece by piece: GCC 12's -Wrestrict misfires on a
+        // "[" + ... operator+ chain here at -O2.
+        std::string range = "[";
+        range += fmtDouble(b.lo, 2);
+        range += ", ";
+        range += fmtDouble(b.hi, 2);
+        range += ")";
+        calib.addRow({range,
                       std::to_string(b.alarms),
                       std::to_string(b.trueAlarms),
                       fmtDouble(b.meanConfidence()),

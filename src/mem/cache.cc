@@ -1,7 +1,6 @@
 #include "mem/cache.hh"
 
 #include <bit>
-#include <limits>
 
 #include "util/logging.hh"
 
@@ -11,8 +10,10 @@ namespace cchunter
 Cache::Cache(std::string name, CacheGeometry geometry)
     : name_(std::move(name)), geom_(geometry)
 {
-    if (geom_.lineSize == 0 || (geom_.lineSize & (geom_.lineSize - 1)))
-        fatal("Cache ", name_, ": line size must be a power of two");
+    // A line address must leave bit 0 free for the valid bit.
+    if (geom_.lineSize < 2 || !std::has_single_bit(geom_.lineSize))
+        fatal("Cache ", name_,
+              ": line size must be a power of two of at least 2");
     if (geom_.associativity == 0)
         fatal("Cache ", name_, ": associativity must be positive");
     if (geom_.sizeBytes % (geom_.lineSize * geom_.associativity) != 0)
@@ -22,36 +23,31 @@ Cache::Cache(std::string name, CacheGeometry geometry)
         fatal("Cache ", name_, ": zero sets");
     lineShift_ = static_cast<unsigned>(std::countr_zero(geom_.lineSize));
     setsPow2_ = std::has_single_bit(numSets_);
-    blocks_.assign(geom_.numBlocks(), Block{});
+    flush();
 }
 
 std::size_t
-Cache::findWay(std::size_t set, Addr line) const
+Cache::findWay(std::size_t base, Addr tag) const
 {
-    const std::size_t base = set * geom_.associativity;
-    for (std::size_t w = 0; w < geom_.associativity; ++w) {
-        const Block& b = blocks_[base + w];
-        if (b.valid && b.lineAddr == line)
+    const Addr* tags = &tags_[base];
+    for (std::size_t w = 0; w < geom_.associativity; ++w)
+        if (tags[w] == tag)
             return w;
-    }
     return geom_.associativity; // not found
 }
 
 std::size_t
-Cache::victimWay(std::size_t set) const
+Cache::victimWay(std::size_t base) const
 {
-    const std::size_t base = set * geom_.associativity;
-    std::size_t victim = 0;
-    std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-    for (std::size_t w = 0; w < geom_.associativity; ++w) {
-        const Block& b = blocks_[base + w];
-        if (!b.valid)
+    const std::size_t ways = geom_.associativity;
+    for (std::size_t w = 0; w < ways; ++w)
+        if (tags_[base + w] == 0)
             return w; // prefer invalid ways
-        if (b.lastUse < oldest) {
-            oldest = b.lastUse;
+    const std::uint64_t* stamps = &lastUse_[base];
+    std::size_t victim = 0;
+    for (std::size_t w = 1; w < ways; ++w)
+        if (stamps[w] < stamps[victim])
             victim = w;
-        }
-    }
     return victim;
 }
 
@@ -60,80 +56,84 @@ Cache::access(Addr addr, ContextId ctx, Tick now)
 {
     CacheAccessResult result;
     const Addr line = lineAddr(addr);
-    const std::size_t set = setIndex(addr);
-    const std::size_t base = set * geom_.associativity;
+    const Addr tag = tagOf(line);
+    const std::size_t base = setIndex(addr) * geom_.associativity;
 
-    std::size_t way = findWay(set, line);
+    const std::size_t way = findWay(base, tag);
     if (way != geom_.associativity) {
         // Hit.
+        const std::size_t i = base + way;
         result.hit = true;
-        Block& b = blocks_[base + way];
-        b.lastUse = ++useCounter_;
-        b.owner = ctx;
+        lastUse_[i] = ++useCounter_;
+        owners_[i] = ctx;
         ++hits_;
         if (monitor_)
-            monitor_->onAccess(base + way, line, ctx, now);
+            monitor_->onAccess(i, line, ctx, now);
         return result;
     }
 
     // Miss: pick a victim and fill.
     ++misses_;
-    way = victimWay(set);
-    Block& b = blocks_[base + way];
-    if (b.valid) {
+    const std::size_t i = base + victimWay(base);
+    const bool valid = tags_[i] != 0;
+    const Addr victimLine = tags_[i] & ~Addr{1};
+    const ContextId victimOwner = owners_[i];
+    if (valid) {
         result.evicted = true;
-        result.evictedLineAddr = b.lineAddr;
-        result.evictedOwner = b.owner;
+        result.evictedLineAddr = victimLine;
+        result.evictedOwner = victimOwner;
         ++evictions_;
     }
     if (monitor_) {
-        monitor_->onMiss(line, ctx, b.owner, b.valid, now);
-        if (b.valid)
-            monitor_->onEvict(base + way, b.lineAddr, b.owner, now);
+        monitor_->onMiss(line, ctx, victimOwner, valid, now);
+        if (valid)
+            monitor_->onEvict(i, victimLine, victimOwner, now);
     }
-    b.valid = true;
-    b.lineAddr = line;
-    b.owner = ctx;
-    b.lastUse = ++useCounter_;
+    tags_[i] = tag;
+    owners_[i] = ctx;
+    lastUse_[i] = ++useCounter_;
     if (monitor_)
-        monitor_->onAccess(base + way, line, ctx, now);
+        monitor_->onAccess(i, line, ctx, now);
     return result;
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return findWay(setIndex(addr), lineAddr(addr)) !=
-           geom_.associativity;
+    return findWay(setIndex(addr) * geom_.associativity,
+                   tagOf(lineAddr(addr))) != geom_.associativity;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    const Addr line = lineAddr(addr);
-    const std::size_t set = setIndex(addr);
-    const std::size_t way = findWay(set, line);
+    const std::size_t base = setIndex(addr) * geom_.associativity;
+    const std::size_t way = findWay(base, tagOf(lineAddr(addr)));
     if (way == geom_.associativity)
         return false;
-    blocks_[set * geom_.associativity + way] = Block{};
+    tags_[base + way] = 0;
+    owners_[base + way] = invalidContext;
+    lastUse_[base + way] = 0;
     return true;
 }
 
 void
 Cache::flush()
 {
-    for (auto& b : blocks_)
-        b = Block{};
+    const std::size_t blocks = geom_.numBlocks();
+    tags_.assign(blocks, 0);
+    owners_.assign(blocks, invalidContext);
+    lastUse_.assign(blocks, 0);
 }
 
 ContextId
 Cache::ownerOf(Addr addr) const
 {
-    const std::size_t set = setIndex(addr);
-    const std::size_t way = findWay(set, lineAddr(addr));
+    const std::size_t base = setIndex(addr) * geom_.associativity;
+    const std::size_t way = findWay(base, tagOf(lineAddr(addr)));
     if (way == geom_.associativity)
         return invalidContext;
-    return blocks_[set * geom_.associativity + way].owner;
+    return owners_[base + way];
 }
 
 } // namespace cchunter

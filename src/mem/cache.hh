@@ -140,23 +140,28 @@ class Cache
     std::uint64_t evictions() const { return evictions_; }
 
   private:
-    struct Block
-    {
-        bool valid = false;
-        Addr lineAddr = 0;
-        ContextId owner = invalidContext;
-        std::uint64_t lastUse = 0; //!< LRU timestamp (access sequence)
-    };
+    /** Tag of a resident line: its line address with the valid bit
+     *  folded into bit 0 (line addresses have it clear), so a set's
+     *  tags compare in one contiguous scan and 0 means invalid. */
+    static Addr tagOf(Addr line) { return line | 1; }
 
-    std::size_t findWay(std::size_t set, Addr line) const;
-    std::size_t victimWay(std::size_t set) const;
+    /** Way holding `tag` in the set starting at `base`, or
+     *  associativity. */
+    std::size_t findWay(std::size_t base, Addr tag) const;
+    /** Lowest invalid way of the set, else its first least recently
+     *  used way. */
+    std::size_t victimWay(std::size_t base) const;
 
     std::string name_;
     CacheGeometry geom_;
     unsigned lineShift_ = 0;   //!< log2(lineSize)
     std::size_t numSets_ = 0;
     bool setsPow2_ = false;
-    std::vector<Block> blocks_; //!< set-major storage
+    // Per-way state, set-major: way w of set s is index
+    // s * associativity + w (the monitors' block index).
+    std::vector<Addr> tags_;
+    std::vector<ContextId> owners_;
+    std::vector<std::uint64_t> lastUse_; //!< LRU stamps (access sequence)
     std::uint64_t useCounter_ = 0;
     CacheMonitor* monitor_ = nullptr;
     std::uint64_t hits_ = 0;

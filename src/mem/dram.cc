@@ -1,5 +1,7 @@
 #include "mem/dram.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace cchunter
@@ -10,6 +12,9 @@ Dram::Dram(DramParams params)
 {
     if (params_.numBanks == 0 || params_.rowBytes == 0)
         fatal("Dram: banks and row size must be positive");
+    rowPow2_ = std::has_single_bit(params_.rowBytes);
+    rowShift_ = static_cast<unsigned>(std::countr_zero(params_.rowBytes));
+    banksPow2_ = std::has_single_bit(params_.numBanks);
     openRow_.assign(params_.numBanks, 0);
     rowValid_.assign(params_.numBanks, false);
 }
@@ -17,8 +22,10 @@ Dram::Dram(DramParams params)
 Cycles
 Dram::access(Addr addr)
 {
-    const std::uint64_t row = addr / params_.rowBytes;
-    const std::size_t bank = row % params_.numBanks;
+    const std::uint64_t row =
+        rowPow2_ ? addr >> rowShift_ : addr / params_.rowBytes;
+    const std::size_t bank = banksPow2_ ? row & (params_.numBanks - 1)
+                                        : row % params_.numBanks;
     if (rowValid_[bank] && openRow_[bank] == row) {
         ++rowHits_;
         return params_.rowHitCycles;

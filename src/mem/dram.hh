@@ -41,6 +41,11 @@ class Dram
 
   private:
     DramParams params_;
+    // Row = addr / rowBytes and bank = row % numBanks, as a shift and
+    // a mask when the geometry is a power of two.
+    unsigned rowShift_ = 0;
+    bool rowPow2_ = false;
+    bool banksPow2_ = false;
     std::vector<std::uint64_t> openRow_;
     std::vector<bool> rowValid_;
     std::uint64_t rowHits_ = 0;

@@ -1,5 +1,7 @@
 #include "mem/tlb.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace cchunter
@@ -15,6 +17,11 @@ Tlb::Tlb(std::string name, TlbParams params)
     if (params_.entries % params_.associativity != 0)
         fatal("Tlb ", name_,
               ": entries must be a multiple of associativity");
+    pagePow2_ = std::has_single_bit(params_.pageBytes);
+    pageShift_ =
+        static_cast<unsigned>(std::countr_zero(params_.pageBytes));
+    numSets_ = params_.numSets();
+    setsPow2_ = std::has_single_bit(numSets_);
     entries_.resize(params_.entries);
 }
 
@@ -53,7 +60,7 @@ Tlb::translate(Addr addr, ContextId ctx, Tick now)
 {
     TlbOutcome out;
     const std::uint64_t page = pageNumber(addr);
-    const std::size_t set = setIndex(addr);
+    const std::size_t set = setOf(page);
     const std::size_t base = set * params_.associativity;
 
     const std::size_t way = findWay(set, page);

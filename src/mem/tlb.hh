@@ -95,27 +95,36 @@ class Tlb
 
     const std::string& name() const { return name_; }
     const TlbParams& params() const { return params_; }
-    std::size_t numSets() const { return params_.numSets(); }
+    std::size_t numSets() const { return numSets_; }
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t conflicts() const { return conflicts_; }
 
-    /** Page number of a byte address. */
+    /** Page number of a byte address: a shift for a power-of-two page
+     *  size, a division otherwise. */
     std::uint64_t
     pageNumber(Addr addr) const
     {
-        return addr / params_.pageBytes;
+        return pagePow2_ ? addr >> pageShift_ : addr / params_.pageBytes;
     }
 
     /** Set index of a byte address. */
     std::size_t
     setIndex(Addr addr) const
     {
-        return pageNumber(addr) % params_.numSets();
+        return setOf(pageNumber(addr));
     }
 
   private:
+    /** Set of a page number: a mask for a power-of-two set count, a
+     *  modulo otherwise. */
+    std::size_t
+    setOf(std::uint64_t page) const
+    {
+        return setsPow2_ ? page & (numSets_ - 1) : page % numSets_;
+    }
+
     struct Entry
     {
         bool valid = false;
@@ -129,6 +138,10 @@ class Tlb
 
     std::string name_;
     TlbParams params_;
+    unsigned pageShift_ = 0; //!< log2(pageBytes) when pagePow2_
+    bool pagePow2_ = false;
+    std::size_t numSets_ = 0;
+    bool setsPow2_ = false;
     std::vector<Entry> entries_; //!< set-major storage
     std::vector<TlbConflictListener> listeners_;
     std::uint64_t useCounter_ = 0;

@@ -8,22 +8,27 @@ namespace cchunter
 {
 
 void
-EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
+EventQueue::schedule(Tick when, Handler handler, void* object,
+                     std::uint64_t arg, EventPriority prio)
 {
     if (when < now_)
         panic("EventQueue: scheduling into the past (", when, " < ",
               now_, ")");
-    queue_.push_back(Entry{when, prio, nextSeq_++, std::move(cb)});
+    const std::uint64_t order =
+        std::uint64_t{static_cast<std::uint8_t>(prio)} << seqBits |
+        nextSeq_++;
+    queue_.push_back(Entry{when, order, handler, object, arg});
     std::push_heap(queue_.begin(), queue_.end(), Later{});
 }
 
-EventQueue::Entry
-EventQueue::popNext()
+void
+EventQueue::fireNext()
 {
     std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    Entry e = std::move(queue_.back());
+    const Entry e = queue_.back();
     queue_.pop_back();
-    return e;
+    now_ = e.when;
+    e.handler(e.object, e.arg);
 }
 
 std::uint64_t
@@ -31,9 +36,7 @@ EventQueue::runUntil(Tick until)
 {
     std::uint64_t executed = 0;
     while (!queue_.empty() && queue_.front().when < until) {
-        Entry e = popNext();
-        now_ = e.when;
-        e.cb();
+        fireNext();
         ++executed;
     }
     if (now_ < until)
@@ -46,9 +49,7 @@ EventQueue::step()
 {
     if (queue_.empty())
         return false;
-    Entry e = popNext();
-    now_ = e.when;
-    e.cb();
+    fireNext();
     return true;
 }
 

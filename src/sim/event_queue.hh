@@ -2,16 +2,15 @@
  * @file
  * The discrete-event simulation kernel.
  *
- * A single global event queue orders callbacks by (tick, priority,
- * insertion sequence); the machine model schedules context steps,
- * scheduler quanta and daemon work onto it.
+ * A single global event queue orders events by (tick, priority,
+ * insertion sequence); the machine model schedules context steps and
+ * scheduler quanta onto it.
  */
 
 #ifndef CCHUNTER_SIM_EVENT_QUEUE_HH
 #define CCHUNTER_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "util/types.hh"
@@ -28,15 +27,32 @@ enum class EventPriority : std::uint8_t
 };
 
 /**
- * Time-ordered queue of simulation callbacks.
+ * Time-ordered queue of simulation events.  An event is a plain
+ * handler called with the object pointer and the 64-bit argument it
+ * was scheduled with, so the queue stores, sifts and fires trivially
+ * copyable records.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** What an event runs: `handler(object, arg)`. */
+    using Handler = void (*)(void* object, std::uint64_t arg);
 
-    /** Schedule a callback at an absolute tick. */
-    void schedule(Tick when, Callback cb,
+    /** One scheduled event. */
+    struct Entry
+    {
+        Tick when;
+        /** `priority << 56 | insertion sequence`: one compare orders
+         *  simultaneous events. */
+        std::uint64_t order;
+        Handler handler;
+        void* object;
+        std::uint64_t arg;
+    };
+
+    /** Schedule `handler(object, arg)` at an absolute tick. */
+    void schedule(Tick when, Handler handler, void* object,
+                  std::uint64_t arg = 0,
                   EventPriority prio = EventPriority::Default);
 
     /** Current simulated time. */
@@ -62,15 +78,8 @@ class EventQueue
     bool step();
 
   private:
-    /** Heap entry; popped by moving it out, so a callback is never
-     *  copied once scheduled. */
-    struct Entry
-    {
-        Tick when;
-        EventPriority prio;
-        std::uint64_t seq;
-        Callback cb;
-    };
+    /** Bits of the order word below the priority. */
+    static constexpr unsigned seqBits = 56;
 
     struct Later
     {
@@ -79,17 +88,17 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.prio != b.prio)
-                return a.prio > b.prio;
-            return a.seq > b.seq;
+            return a.order > b.order;
         }
     };
 
-    /** Remove and return the earliest entry. */
-    Entry popNext();
+    /** Remove the earliest entry, advance time to it and fire it. */
+    void fireNext();
 
     std::vector<Entry> queue_; //!< binary heap ordered by Later
     Tick now_ = 0;
+    /** Insertion sequence; a run would need 2^56 events to reach the
+     *  priority bits. */
     std::uint64_t nextSeq_ = 0;
 };
 

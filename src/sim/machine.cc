@@ -106,10 +106,8 @@ namespace
 
 static_assert(sizeof(ContextId) == 1, "step keys pack the context in 8 bits");
 
-/** A step event's context and generation in one word, so the
- *  callback {this, key} fits std::function's inline buffer and
- *  scheduling a step never allocates.  Generations compare modulo
- *  2^56. */
+/** A step event's context and generation in one word: the event's
+ *  argument.  Generations compare modulo 2^56. */
 std::uint64_t
 stepKey(ContextId ctx, std::uint64_t generation)
 {
@@ -122,7 +120,13 @@ void
 Machine::scheduleStep(ContextId ctx, Tick when)
 {
     const std::uint64_t key = stepKey(ctx, contexts_[ctx].generation);
-    eq_.schedule(when, [this, key] { step(key); });
+    eq_.schedule(when, &Machine::stepEvent, this, key);
+}
+
+void
+Machine::stepEvent(void* machine, std::uint64_t key)
+{
+    static_cast<Machine*>(machine)->step(key);
 }
 
 void

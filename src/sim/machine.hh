@@ -90,6 +90,8 @@ class Machine
     void assignContext(ContextId ctx, Process* process, Tick now);
 
     void scheduleStep(ContextId ctx, Tick when);
+    /** Event handler: step() on the machine it was scheduled with. */
+    static void stepEvent(void* machine, std::uint64_t key);
     void step(std::uint64_t key);
     Tick executeAction(ContextId ctx, Process& process,
                        const Action& action);

@@ -46,9 +46,15 @@ Scheduler::start()
         return;
     started_ = true;
     assign(machine_.now());
-    machine_.eventQueue().schedule(
-        machine_.now() + params_.quantum, [this] { quantumBoundary(); },
-        EventPriority::Scheduler);
+    machine_.eventQueue().schedule(machine_.now() + params_.quantum,
+                                   &Scheduler::boundaryEvent, this, 0,
+                                   EventPriority::Scheduler);
+}
+
+void
+Scheduler::boundaryEvent(void* scheduler, std::uint64_t)
+{
+    static_cast<Scheduler*>(scheduler)->quantumBoundary();
 }
 
 void
@@ -60,9 +66,9 @@ Scheduler::quantumBoundary()
         obs(quanta_, now);
     ++quanta_;
     assign(now);
-    machine_.eventQueue().schedule(
-        now + params_.quantum, [this] { quantumBoundary(); },
-        EventPriority::Scheduler);
+    machine_.eventQueue().schedule(now + params_.quantum,
+                                   &Scheduler::boundaryEvent, this, 0,
+                                   EventPriority::Scheduler);
 }
 
 void

@@ -145,6 +145,8 @@ class Scheduler
 
   private:
     void quantumBoundary();
+    /** Event handler: quantumBoundary() on its scheduler. */
+    static void boundaryEvent(void* scheduler, std::uint64_t);
     void assign(Tick now);
     void checkContext(ContextId ctx, const char* who) const;
 

@@ -1,5 +1,6 @@
 #include "sim/trace.hh"
 
+#include <atomic>
 #include <cstdlib>
 #include <iostream>
 
@@ -11,56 +12,18 @@ namespace cchunter
 namespace
 {
 
-std::uint32_t enabledMask = 0;
-std::ostream* sink = nullptr;
-bool envChecked = false;
-
 std::uint32_t
 maskOf(TraceCategory c)
 {
     return static_cast<std::uint32_t>(c);
 }
 
-} // namespace
-
-void
-Trace::enable(TraceCategory categories)
+/** Categories named by a comma-separated list ("sched,auditor",
+ *  "all"); unknown names are ignored with a warning. */
+std::uint32_t
+parseCategories(const std::string& spec)
 {
-    envChecked = true;
-    enabledMask |= maskOf(categories);
-}
-
-void
-Trace::disable(TraceCategory categories)
-{
-    enabledMask &= ~maskOf(categories);
-}
-
-void
-Trace::reset()
-{
-    envChecked = true;
-    enabledMask = 0;
-}
-
-bool
-Trace::enabled(TraceCategory category)
-{
-    if (!envChecked)
-        initFromEnvironment();
-    return (enabledMask & maskOf(category)) != 0;
-}
-
-void
-Trace::setSink(std::ostream* s)
-{
-    sink = s;
-}
-
-void
-Trace::enableFromString(const std::string& spec)
-{
-    envChecked = true;
+    std::uint32_t mask = 0;
     std::size_t pos = 0;
     while (pos <= spec.size()) {
         const std::size_t comma = spec.find(',', pos);
@@ -69,42 +32,93 @@ Trace::enableFromString(const std::string& spec)
                                  ? std::string::npos
                                  : comma - pos);
         if (name == "all")
-            enable(TraceCategory::All);
+            mask |= maskOf(TraceCategory::All);
         else if (name == "sched")
-            enable(TraceCategory::Sched);
+            mask |= maskOf(TraceCategory::Sched);
         else if (name == "exec")
-            enable(TraceCategory::Exec);
+            mask |= maskOf(TraceCategory::Exec);
         else if (name == "cache")
-            enable(TraceCategory::Cache);
+            mask |= maskOf(TraceCategory::Cache);
         else if (name == "bus")
-            enable(TraceCategory::Bus);
+            mask |= maskOf(TraceCategory::Bus);
         else if (name == "auditor")
-            enable(TraceCategory::Auditor);
+            mask |= maskOf(TraceCategory::Auditor);
         else if (name == "channel")
-            enable(TraceCategory::Channel);
+            mask |= maskOf(TraceCategory::Channel);
         else if (name == "detect")
-            enable(TraceCategory::Detect);
+            mask |= maskOf(TraceCategory::Detect);
         else if (!name.empty())
             warn("unknown trace category '", name, "'");
         if (comma == std::string::npos)
             break;
         pos = comma + 1;
     }
+    return mask;
+}
+
+/** The enabled categories.  CCHUNTER_TRACE seeds them the first time
+ *  any thread touches the mask (a function-local static initialises
+ *  exactly once, thread-safely); every later access is atomic, so
+ *  machines on shard workers may check the gate concurrently. */
+std::atomic<std::uint32_t>&
+enabledMask()
+{
+    static std::atomic<std::uint32_t> mask{[] {
+        const char* spec = std::getenv("CCHUNTER_TRACE");
+        return spec ? parseCategories(spec) : std::uint32_t{0};
+    }()};
+    return mask;
+}
+
+std::atomic<std::ostream*> sink{nullptr};
+
+} // namespace
+
+void
+Trace::enable(TraceCategory categories)
+{
+    enabledMask().fetch_or(maskOf(categories), std::memory_order_relaxed);
 }
 
 void
-Trace::initFromEnvironment()
+Trace::disable(TraceCategory categories)
 {
-    envChecked = true;
-    if (const char* spec = std::getenv("CCHUNTER_TRACE"))
-        enableFromString(spec);
+    enabledMask().fetch_and(~maskOf(categories),
+                            std::memory_order_relaxed);
+}
+
+void
+Trace::reset()
+{
+    enabledMask().store(0, std::memory_order_relaxed);
+}
+
+bool
+Trace::enabled(TraceCategory category)
+{
+    return (enabledMask().load(std::memory_order_relaxed) &
+            maskOf(category)) != 0;
+}
+
+void
+Trace::setSink(std::ostream* s)
+{
+    sink.store(s, std::memory_order_relaxed);
+}
+
+void
+Trace::enableFromString(const std::string& spec)
+{
+    enabledMask().fetch_or(parseCategories(spec),
+                           std::memory_order_relaxed);
 }
 
 void
 Trace::emit(TraceCategory category, Tick tick,
             const std::string& message)
 {
-    std::ostream& os = sink ? *sink : std::cerr;
+    std::ostream* s = sink.load(std::memory_order_relaxed);
+    std::ostream& os = s ? *s : std::cerr;
     os << tick << ": [" << categoryName(category) << "] " << message
        << '\n';
 }

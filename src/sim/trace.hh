@@ -2,9 +2,10 @@
  * @file
  * Category-gated simulation tracing, in the spirit of gem5's DPRINTF.
  *
- * Traces are off by default and cost one branch when disabled.  Enable
- * categories programmatically or from the CCHUNTER_TRACE environment
- * variable (comma-separated category names, or "all"):
+ * Traces are off by default and cost one atomic load and a branch when
+ * disabled.  Enable categories programmatically or from the
+ * CCHUNTER_TRACE environment variable (comma-separated category names,
+ * or "all"), which seeds the enabled set on first use:
  *
  *   CCHUNTER_TRACE=sched,auditor ./build/examples/quickstart
  *
@@ -39,7 +40,7 @@ enum class TraceCategory : std::uint32_t
     All = 0xffffffffu,
 };
 
-/** Global trace controller. */
+/** Global trace controller; safe to use from several threads. */
 class Trace
 {
   public:
@@ -61,10 +62,6 @@ class Trace
     /** Parse a comma-separated category list ("sched,auditor",
      *  "all"); unknown names are ignored with a warning. */
     static void enableFromString(const std::string& spec);
-
-    /** Read CCHUNTER_TRACE from the environment (called lazily on the
-     *  first emit/enabled check). */
-    static void initFromEnvironment();
 
     /** Emit one record (used by the TRACE macro). */
     static void emit(TraceCategory category, Tick tick,

@@ -94,8 +94,9 @@ TEST(FindPeaksPropertyTest, SeededRandomSeriesPeaksAreLocalMaxima)
             EXPECT_GE(p.value, floor);
             EXPECT_DOUBLE_EQ(p.value, corr[p.lag]);
             EXPECT_GT(p.value, corr[p.lag - 1]);
-            if (p.lag + 1 < corr.size())
+            if (p.lag + 1 < corr.size()) {
                 EXPECT_GE(p.value, corr[p.lag + 1]);
+            }
         }
     }
 }

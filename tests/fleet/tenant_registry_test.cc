@@ -61,8 +61,9 @@ TEST(TenantRegistryTest, ShardPlanPartitionsAllTenantsAscending)
         total += plan[s].size();
         for (std::size_t i = 0; i < plan[s].size(); ++i) {
             EXPECT_EQ(TenantRegistry::shardOf(plan[s][i], 4), s);
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_LT(plan[s][i - 1], plan[s][i]);
+            }
         }
     }
     EXPECT_EQ(total, registry.size());

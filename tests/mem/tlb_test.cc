@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <list>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
 #include "mem/mem_system.hh"
 #include "mem/tlb.hh"
+#include "util/rng.hh"
 
 using namespace cchunter;
 
@@ -139,6 +142,143 @@ TEST(TlbTest, DegenerateGeometryIsFatal)
     params.pageBytes = 0;
     EXPECT_THROW(Tlb("tlb", params), std::runtime_error);
 }
+
+namespace
+{
+
+/** Per-set LRU TLB built on std::list: page numbers and set indices by
+ *  plain division, each entry with its owner. */
+class ReferenceTlb
+{
+  public:
+    explicit ReferenceTlb(const TlbParams& params)
+        : params_(params), sets_(params.entries / params.associativity)
+    {
+    }
+
+    /** Translate as `ctx`.  @return true on a hit; on a miss that
+     *  displaces another context's entry, `*victim` is its owner. */
+    bool
+    translate(Addr addr, ContextId ctx, ContextId* victim)
+    {
+        *victim = invalidContext;
+        const std::uint64_t page = addr / params_.pageBytes;
+        auto& list = sets_[page % sets_.size()];
+        for (auto it = list.begin(); it != list.end(); ++it) {
+            if (it->page == page) {
+                list.erase(it);
+                list.push_front({page, ctx});
+                return true;
+            }
+        }
+        list.push_front({page, ctx});
+        if (list.size() > params_.associativity) {
+            if (list.back().owner != ctx)
+                *victim = list.back().owner;
+            list.pop_back();
+        }
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (auto& list : sets_)
+            list.clear();
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint64_t page;
+        ContextId owner;
+    };
+
+    TlbParams params_;
+    std::vector<std::list<Entry>> sets_; //!< most recently used first
+};
+
+/** One fuzz run: the stream's seed and the TLB's geometry. */
+struct TlbFuzzCase
+{
+    std::uint64_t seed;
+    std::size_t entries;
+    std::size_t associativity;
+    std::size_t pageBytes;
+};
+
+/** Names a run by its set count and page size (ctest names
+ *  value-parameterized tests by this). */
+void
+PrintTo(const TlbFuzzCase& c, std::ostream* os)
+{
+    *os << c.entries / c.associativity << "sets_" << c.pageBytes << "B";
+}
+
+class TlbFuzzTest : public ::testing::TestWithParam<TlbFuzzCase>
+{
+};
+
+} // namespace
+
+TEST_P(TlbFuzzTest, MatchesReferenceOnRandomStreams)
+{
+    const TlbFuzzCase& c = GetParam();
+    TlbParams params;
+    params.enabled = true;
+    params.entries = c.entries;
+    params.associativity = c.associativity;
+    params.pageBytes = c.pageBytes;
+    Tlb tlb("fuzz", params);
+    ReferenceTlb ref(params);
+
+    std::vector<TlbConflict> conflicts;
+    tlb.addConflictListener([&conflicts](const TlbConflict& conflict) {
+        conflicts.push_back(conflict);
+    });
+    Rng rng(c.seed);
+    std::uint64_t expectedConflicts = 0;
+    for (Tick now = 1; now <= 40000; ++now) {
+        // A rare shootdown empties every set mid-stream.
+        if (rng.nextBelow(5000) == 0) {
+            tlb.flush();
+            ref.flush();
+        }
+        // Three pages per entry, two SMT contexts: sets overflow and
+        // displace each other's translations all the time.
+        const std::uint64_t page = rng.nextBelow(3 * c.entries);
+        const Addr addr =
+            page * c.pageBytes + rng.nextBelow(c.pageBytes);
+        const auto ctx = static_cast<ContextId>(rng.nextBelow(2));
+        ContextId victim = invalidContext;
+        const bool wantHit = ref.translate(addr, ctx, &victim);
+        const TlbOutcome got = tlb.translate(addr, ctx, now);
+        ASSERT_EQ(got.hit, wantHit) << "at " << now << " addr " << addr;
+        ASSERT_EQ(got.latency, wantHit ? 0 : params.missCycles)
+            << "at " << now;
+        if (victim != invalidContext) {
+            ++expectedConflicts;
+            ASSERT_EQ(conflicts.size(), expectedConflicts)
+                << "missing conflict at " << now;
+            const TlbConflict& last = conflicts.back();
+            ASSERT_EQ(last.time, now);
+            ASSERT_EQ(last.replacer, ctx);
+            ASSERT_EQ(last.victim, victim);
+        }
+        ASSERT_EQ(conflicts.size(), expectedConflicts)
+            << "spurious conflict at " << now;
+    }
+    EXPECT_EQ(tlb.conflicts(), expectedConflicts);
+    EXPECT_GT(expectedConflicts, 1000u);
+}
+
+// 64 sets take the mask path of Tlb::setIndex, 24 the modulo path; a
+// 6000-byte page takes the division path of Tlb::pageNumber.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, TlbFuzzTest,
+    ::testing::Values(TlbFuzzCase{7, 256, 4, 4096},
+                      TlbFuzzCase{8, 96, 4, 4096},
+                      TlbFuzzCase{9, 64, 4, 6000}));
 
 TEST(TlbMemSystemTest, DisabledByDefaultAndLatencyNeutral)
 {

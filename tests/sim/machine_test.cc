@@ -306,6 +306,39 @@ TEST(MachineTest, ConcurrentMachinesGetUniqueIncreasingPids)
                           processesPerMachine});
 }
 
+TEST(MachineTest, ConcurrentMachinesRunThroughQuantumBoundaries)
+{
+    // Shard workers run whole machines side by side.  Every quantum
+    // boundary re-assigns contexts and checks the trace gate, so the
+    // gate's global state is shared across threads; each machine must
+    // still simulate exactly what it would alone.
+    constexpr int threads = 4;
+    std::vector<std::uint64_t> actions(threads);
+    std::vector<std::uint64_t> quanta(threads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&actions, &quanta, t] {
+            Machine m(smallMachine());
+            auto spin = std::make_unique<SpinWorkload>();
+            auto* raw = spin.get();
+            m.addProcess(std::move(spin), 0);
+            m.addProcess(std::make_unique<SpinWorkload>(), 1);
+            m.addProcess(std::make_unique<SpinWorkload>());
+            m.runQuanta(2);
+            actions[t] = raw->actions;
+            quanta[t] = m.scheduler().quantaElapsed();
+        });
+    }
+    for (auto& w : workers)
+        w.join();
+
+    for (int t = 0; t < threads; ++t) {
+        EXPECT_EQ(quanta[t], 2u);
+        EXPECT_EQ(actions[t], actions[0]);
+    }
+    EXPECT_GT(actions[0], 1000u);
+}
+
 TEST(MachineTest, PinnedToInvalidContextThrows)
 {
     Machine m(smallMachine());

@@ -218,26 +218,29 @@ TEST(AllocCountTest, IncrementalAutocorrFullRingAllocatesNothing)
         << "pushing into a full ring allocated";
 }
 
+/** Handler shaped like Machine's step event: an object pointer and
+ *  one packed word. */
+void
+addKey(void* sink, std::uint64_t key)
+{
+    *static_cast<std::uint64_t*>(sink) += key;
+}
+
 TEST(AllocCountTest, EventQueueSteadyStateAllocatesNothing)
 {
-    // A callback shaped like Machine's step event: an object pointer
-    // and one packed word.
     std::uint64_t fired = 0;
-    std::uint64_t* sink = &fired;
     const std::uint64_t key = 7;
-    const auto step = [sink, key] { *sink += key; };
-    static_assert(sizeof(step) == 2 * sizeof(void*));
 
     EventQueue eq;
     // Warm-up grows the heap's storage to its working size.
     for (Tick t = 0; t < 64; ++t)
-        eq.schedule(t, step);
+        eq.schedule(t, addKey, &fired, key);
     eq.runUntil(64);
 
     const std::uint64_t before = g_allocations.load();
     for (int round = 0; round < 100; ++round) {
         for (Tick t = 0; t < 64; ++t)
-            eq.schedule(eq.now() + t, step);
+            eq.schedule(eq.now() + t, addKey, &fired, key);
         while (eq.step()) {
         }
     }

@@ -143,8 +143,9 @@ TEST(BoundedQueueTest, PushRacingCloseNeverBlocksForever)
         std::thread producer([&] {
             const auto outcome = q.push(1);
             // Rejected pushes must not have displaced anything.
-            if (!outcome.accepted)
+            if (!outcome.accepted) {
                 EXPECT_FALSE(outcome.displaced.has_value());
+            }
             returned = true;
         });
         std::thread closer([&q] { q.close(); });

@@ -129,13 +129,13 @@ TEST(ConfigFuzzTest, TrailingJunkOnNumbersIsRejected)
 
 TEST(ConfigFuzzTest, BadBooleansListTheOffendingValue)
 {
-    for (const std::string& bad :
-         {"maybe", "2", "TRUE?", "yess", "offf"}) {
+    for (const char* bad : {"maybe", "2", "TRUE?", "yess", "offf"}) {
         Config cfg;
-        cfg.set("flag", bad);
+        // A const char* would pick set(key, bool).
+        cfg.set("flag", std::string(bad));
         const std::string msg =
             fatalMessageOf([&] { cfg.getBool("flag"); });
-        EXPECT_NE(msg.find("is not a boolean: '" + bad + "'"),
+        EXPECT_NE(msg.find("is not a boolean: '" + std::string(bad) + "'"),
                   std::string::npos)
             << msg;
     }
@@ -146,12 +146,12 @@ TEST(ConfigFuzzTest, AcceptedBooleanSpellingsStayAccepted)
     // The negative taxonomy above is only trustworthy if the accepted
     // set is pinned too.
     Config cfg;
-    for (const std::string& yes : {"true", "1", "yes", "on"}) {
-        cfg.set("b", yes);
+    for (const char* yes : {"true", "1", "yes", "on"}) {
+        cfg.set("b", std::string(yes));
         EXPECT_TRUE(cfg.getBool("b")) << yes;
     }
-    for (const std::string& no : {"false", "0", "no", "off"}) {
-        cfg.set("b", no);
+    for (const char* no : {"false", "0", "no", "off"}) {
+        cfg.set("b", std::string(no));
         EXPECT_FALSE(cfg.getBool("b")) << no;
     }
 }

@@ -183,9 +183,11 @@ TEST(SimdKernelTest, PowerSpectrumExpandBitIdenticalAcrossBackends)
         // Definition: |X_k|^2 over the half spectrum, mirrored.
         for (std::size_t k = 0; k < m1; ++k)
             EXPECT_EQ(vec[k], std::norm(spectrum[k])) << "k=" << k;
-        for (std::size_t k = 1; k < m1; ++k)
-            if (k != padded - k)
+        for (std::size_t k = 1; k < m1; ++k) {
+            if (k != padded - k) {
                 EXPECT_EQ(vec[padded - k], vec[k]) << "k=" << k;
+            }
+        }
     }
 }
 
