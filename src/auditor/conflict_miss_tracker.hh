@@ -17,6 +17,11 @@
  *    of the youngest generation in which it was accessed.
  *  - On a miss, if the incoming tag hits in any live filter the block
  *    was evicted within the last ~N distinct accesses: a conflict miss.
+ *
+ * The generation filters are stored sliced: one byte per filter bit
+ * position, whose bit g is that position's bit in generation g's
+ * filter.  A line is hashed once per call, and one AND across its
+ * probe bytes tests every generation at once.
  */
 
 #ifndef CCHUNTER_AUDITOR_CONFLICT_MISS_TRACKER_HH
@@ -28,7 +33,6 @@
 
 #include "auditor/conflict_event.hh"
 #include "mem/cache.hh"
-#include "util/bloom_filter.hh"
 #include "util/types.hh"
 
 namespace cchunter
@@ -115,8 +119,11 @@ class ConflictMissTracker : public CacheMonitor
     std::size_t threshold_;
     /** Per-block bitmask of generations in which it was accessed. */
     std::vector<std::uint8_t> genBits_;
-    /** One bloom filter per generation. */
-    std::vector<BloomFilter> filters_;
+    /** Generation-sliced bloom filters: bit g of byte p is bit p of
+     *  generation g's filter. */
+    std::vector<std::uint8_t> bloom_;
+    /** Filter size in bits minus one (the size is a power of two). */
+    std::uint64_t bloomMask_ = 0;
     /** Index of the current (youngest) generation. */
     unsigned currentGen_ = 0;
     /** Blocks newly marked in the current generation. */

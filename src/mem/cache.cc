@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "mem/lru_victim.hh"
 #include "util/logging.hh"
 
 namespace cchunter
@@ -36,21 +37,6 @@ Cache::findWay(std::size_t base, Addr tag) const
     return geom_.associativity; // not found
 }
 
-std::size_t
-Cache::victimWay(std::size_t base) const
-{
-    const std::size_t ways = geom_.associativity;
-    for (std::size_t w = 0; w < ways; ++w)
-        if (tags_[base + w] == 0)
-            return w; // prefer invalid ways
-    const std::uint64_t* stamps = &lastUse_[base];
-    std::size_t victim = 0;
-    for (std::size_t w = 1; w < ways; ++w)
-        if (stamps[w] < stamps[victim])
-            victim = w;
-    return victim;
-}
-
 CacheAccessResult
 Cache::access(Addr addr, ContextId ctx, Tick now)
 {
@@ -74,7 +60,8 @@ Cache::access(Addr addr, ContextId ctx, Tick now)
 
     // Miss: pick a victim and fill.
     ++misses_;
-    const std::size_t i = base + victimWay(base);
+    const std::size_t i =
+        base + lruVictimWay(&lastUse_[base], geom_.associativity);
     const bool valid = tags_[i] != 0;
     const Addr victimLine = tags_[i] & ~Addr{1};
     const ContextId victimOwner = owners_[i];

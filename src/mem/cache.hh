@@ -148,9 +148,6 @@ class Cache
     /** Way holding `tag` in the set starting at `base`, or
      *  associativity. */
     std::size_t findWay(std::size_t base, Addr tag) const;
-    /** Lowest invalid way of the set, else its first least recently
-     *  used way. */
-    std::size_t victimWay(std::size_t base) const;
 
     std::string name_;
     CacheGeometry geom_;
@@ -161,7 +158,9 @@ class Cache
     // s * associativity + w (the monitors' block index).
     std::vector<Addr> tags_;
     std::vector<ContextId> owners_;
-    std::vector<std::uint64_t> lastUse_; //!< LRU stamps (access sequence)
+    /** LRU stamps (access sequence): 0 for an invalid way, distinct
+     *  and >= 1 for valid ways. */
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useCounter_ = 0;
     CacheMonitor* monitor_ = nullptr;
     std::uint64_t hits_ = 0;

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "mem/lru_victim.hh"
 #include "util/logging.hh"
 
 namespace cchunter
@@ -10,10 +11,11 @@ namespace cchunter
 Tlb::Tlb(std::string name, TlbParams params)
     : name_(std::move(name)), params_(params)
 {
-    if (params_.entries == 0 || params_.associativity == 0 ||
-        params_.pageBytes == 0)
-        fatal("Tlb ", name_, ": zero entries, associativity or page "
-              "size");
+    if (params_.entries == 0 || params_.associativity == 0)
+        fatal("Tlb ", name_, ": zero entries or associativity");
+    // A page number must stay below 2^64 - 1 for its tag.
+    if (params_.pageBytes < 2)
+        fatal("Tlb ", name_, ": page size must be at least 2 bytes");
     if (params_.entries % params_.associativity != 0)
         fatal("Tlb ", name_,
               ": entries must be a multiple of associativity");
@@ -22,37 +24,17 @@ Tlb::Tlb(std::string name, TlbParams params)
         static_cast<unsigned>(std::countr_zero(params_.pageBytes));
     numSets_ = params_.numSets();
     setsPow2_ = std::has_single_bit(numSets_);
-    entries_.resize(params_.entries);
+    flush();
 }
 
 std::size_t
-Tlb::findWay(std::size_t set, std::uint64_t page) const
+Tlb::findWay(std::size_t base, std::uint64_t tag) const
 {
-    const std::size_t base = set * params_.associativity;
-    for (std::size_t w = 0; w < params_.associativity; ++w) {
-        const Entry& e = entries_[base + w];
-        if (e.valid && e.page == page)
+    const std::uint64_t* tags = &tags_[base];
+    for (std::size_t w = 0; w < params_.associativity; ++w)
+        if (tags[w] == tag)
             return w;
-    }
-    return params_.associativity;
-}
-
-std::size_t
-Tlb::victimWay(std::size_t set) const
-{
-    const std::size_t base = set * params_.associativity;
-    std::size_t victim = 0;
-    std::uint64_t oldest = entries_[base].lastUse;
-    for (std::size_t w = 0; w < params_.associativity; ++w) {
-        const Entry& e = entries_[base + w];
-        if (!e.valid)
-            return w;
-        if (e.lastUse < oldest) {
-            oldest = e.lastUse;
-            victim = w;
-        }
-    }
-    return victim;
+    return params_.associativity; // not found
 }
 
 TlbOutcome
@@ -60,14 +42,13 @@ Tlb::translate(Addr addr, ContextId ctx, Tick now)
 {
     TlbOutcome out;
     const std::uint64_t page = pageNumber(addr);
-    const std::size_t set = setOf(page);
-    const std::size_t base = set * params_.associativity;
+    const std::uint64_t tag = tagOf(page);
+    const std::size_t base = setOf(page) * params_.associativity;
 
-    const std::size_t way = findWay(set, page);
+    const std::size_t way = findWay(base, tag);
     if (way < params_.associativity) {
-        Entry& e = entries_[base + way];
-        e.lastUse = ++useCounter_;
-        e.owner = ctx;
+        lastUse_[base + way] = ++useCounter_;
+        owners_[base + way] = ctx;
         ++hits_;
         out.hit = true;
         return out;
@@ -78,33 +59,33 @@ Tlb::translate(Addr addr, ContextId ctx, Tick now)
     // auditable conflict.
     ++misses_;
     out.latency = params_.missCycles;
-    const std::size_t victim = victimWay(set);
-    Entry& e = entries_[base + victim];
-    if (e.valid && e.owner != ctx) {
+    const std::size_t i =
+        base + lruVictimWay(&lastUse_[base], params_.associativity);
+    if (tags_[i] != 0 && owners_[i] != ctx) {
         ++conflicts_;
-        const TlbConflict conflict{now, ctx, e.owner};
+        const TlbConflict conflict{now, ctx, owners_[i]};
         for (const auto& listener : listeners_)
             listener(conflict);
     }
-    e.valid = true;
-    e.page = page;
-    e.owner = ctx;
-    e.lastUse = ++useCounter_;
+    tags_[i] = tag;
+    owners_[i] = ctx;
+    lastUse_[i] = ++useCounter_;
     return out;
 }
 
 bool
 Tlb::probe(Addr addr) const
 {
-    return findWay(setIndex(addr), pageNumber(addr)) <
-           params_.associativity;
+    return findWay(setIndex(addr) * params_.associativity,
+                   tagOf(pageNumber(addr))) < params_.associativity;
 }
 
 void
 Tlb::flush()
 {
-    for (Entry& e : entries_)
-        e.valid = false;
+    tags_.assign(params_.entries, 0);
+    owners_.assign(params_.entries, invalidContext);
+    lastUse_.assign(params_.entries, 0);
 }
 
 void

@@ -125,16 +125,14 @@ class Tlb
         return setsPow2_ ? page & (numSets_ - 1) : page % numSets_;
     }
 
-    struct Entry
-    {
-        bool valid = false;
-        std::uint64_t page = 0;
-        ContextId owner = invalidContext;
-        std::uint64_t lastUse = 0;
-    };
+    /** Tag of a resident translation: its page number plus one, so 0
+     *  means invalid (a page number is below 2^64 - 1 because a page
+     *  is at least 2 bytes). */
+    static std::uint64_t tagOf(std::uint64_t page) { return page + 1; }
 
-    std::size_t findWay(std::size_t set, std::uint64_t page) const;
-    std::size_t victimWay(std::size_t set) const;
+    /** Way holding `tag` in the set starting at `base`, or
+     *  associativity. */
+    std::size_t findWay(std::size_t base, std::uint64_t tag) const;
 
     std::string name_;
     TlbParams params_;
@@ -142,7 +140,13 @@ class Tlb
     bool pagePow2_ = false;
     std::size_t numSets_ = 0;
     bool setsPow2_ = false;
-    std::vector<Entry> entries_; //!< set-major storage
+    // Per-way state, set-major: way w of set s is index
+    // s * associativity + w.
+    std::vector<std::uint64_t> tags_;
+    std::vector<ContextId> owners_;
+    /** LRU stamps (translation sequence): 0 for an invalid way,
+     *  distinct and >= 1 for valid ways. */
+    std::vector<std::uint64_t> lastUse_;
     std::vector<TlbConflictListener> listeners_;
     std::uint64_t useCounter_ = 0;
     std::uint64_t hits_ = 0;

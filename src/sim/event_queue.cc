@@ -17,16 +17,35 @@ EventQueue::schedule(Tick when, Handler handler, void* object,
     const std::uint64_t order =
         std::uint64_t{static_cast<std::uint8_t>(prio)} << seqBits |
         nextSeq_++;
-    queue_.push_back(Entry{when, order, handler, object, arg});
-    std::push_heap(queue_.begin(), queue_.end(), Later{});
+    const Entry e{when, order, handler, object, arg};
+    if (!empty() && !Later{}(earliest(), e)) {
+        queue_.push_back(e);
+        std::push_heap(queue_.begin(), queue_.end(), Later{});
+        return;
+    }
+    // Earlier than everything pending: the slot takes it, and a
+    // previous occupant moves to the heap.
+    if (hasNext_) {
+        queue_.push_back(next_);
+        std::push_heap(queue_.begin(), queue_.end(), Later{});
+    }
+    next_ = e;
+    hasNext_ = true;
 }
 
 void
 EventQueue::fireNext()
 {
-    std::pop_heap(queue_.begin(), queue_.end(), Later{});
-    const Entry e = queue_.back();
-    queue_.pop_back();
+    // Copied out: the handler may schedule into the slot.
+    Entry e{};
+    if (hasNext_) {
+        e = next_;
+        hasNext_ = false;
+    } else {
+        std::pop_heap(queue_.begin(), queue_.end(), Later{});
+        e = queue_.back();
+        queue_.pop_back();
+    }
     now_ = e.when;
     e.handler(e.object, e.arg);
 }
@@ -35,7 +54,7 @@ std::uint64_t
 EventQueue::runUntil(Tick until)
 {
     std::uint64_t executed = 0;
-    while (!queue_.empty() && queue_.front().when < until) {
+    while (!empty() && earliest().when < until) {
         fireNext();
         ++executed;
     }
@@ -47,7 +66,7 @@ EventQueue::runUntil(Tick until)
 bool
 EventQueue::step()
 {
-    if (queue_.empty())
+    if (empty())
         return false;
     fireNext();
     return true;

@@ -31,6 +31,10 @@ enum class EventPriority : std::uint8_t
  * handler called with the object pointer and the 64-bit argument it
  * was scheduled with, so the queue stores, sifts and fires trivially
  * copyable records.
+ *
+ * An event scheduled strictly before every pending event — a context
+ * scheduling its own next step, most often — waits in a one-entry
+ * slot outside the heap and fires without a push or a pop.
  */
 class EventQueue
 {
@@ -59,10 +63,10 @@ class EventQueue
     Tick now() const { return now_; }
 
     /** @return true when no events are pending. */
-    bool empty() const { return queue_.empty(); }
+    bool empty() const { return !hasNext_ && queue_.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return queue_.size(); }
+    std::size_t size() const { return queue_.size() + hasNext_; }
 
     /**
      * Execute events in order until the queue empties or the next event
@@ -92,10 +96,21 @@ class EventQueue
         }
     };
 
+    /** The earliest pending entry; the queue must not be empty. */
+    const Entry&
+    earliest() const
+    {
+        return hasNext_ ? next_ : queue_.front();
+    }
+
     /** Remove the earliest entry, advance time to it and fire it. */
     void fireNext();
 
     std::vector<Entry> queue_; //!< binary heap ordered by Later
+    /** When hasNext_, an entry strictly earlier than every entry of
+     *  queue_. */
+    Entry next_{};
+    bool hasNext_ = false;
     Tick now_ = 0;
     /** Insertion sequence; a run would need 2^56 events to reach the
      *  priority bits. */

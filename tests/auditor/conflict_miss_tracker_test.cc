@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <vector>
 
 #include "auditor/conflict_miss_tracker.hh"
 #include "auditor/lru_stack_tracker.hh"
 #include "mem/cache.hh"
-#include "util/bloom_filter.hh"
+#include "reference/bloom_filter.hh"
 #include "util/rng.hh"
 
 namespace cchunter
@@ -107,6 +109,9 @@ TEST(ConflictMissTrackerTest, InvalidConfigThrows)
     p.numGenerations = 1;
     EXPECT_ANY_THROW(ConflictMissTracker(16, p));
     p.numGenerations = 9;
+    EXPECT_ANY_THROW(ConflictMissTracker(16, p));
+    p = ConflictTrackerParams{};
+    p.bloomHashes = 0;
     EXPECT_ANY_THROW(ConflictMissTracker(16, p));
 }
 
@@ -254,6 +259,194 @@ TEST(ConflictMissTrackerTest, AliasHookForcesConflictAndCounts)
     EXPECT_EQ(tracker.conflictMisses(), tracker.forcedAliases());
     EXPECT_EQ(events, tracker.forcedAliases());
 }
+
+/**
+ * The practical tracker as one independent BloomFilter per generation:
+ * the model the sliced filters of ConflictMissTracker are checked
+ * against.  Generation bits, rotation and the victim-generation rule
+ * are the tracker's, written out plainly.
+ */
+class ReferenceTracker
+{
+  public:
+    ReferenceTracker(std::size_t num_blocks, unsigned generations,
+                     std::size_t bloom_bits, unsigned hashes)
+        : generations_(generations),
+          threshold_(std::max<std::size_t>(1, num_blocks / generations)),
+          genBits_(num_blocks, 0)
+    {
+        for (unsigned g = 0; g < generations; ++g)
+            filters_.emplace_back(bloom_bits, hashes);
+    }
+
+    void
+    onAccess(std::size_t block)
+    {
+        const unsigned bit = 1u << current_;
+        if (genBits_[block] & bit)
+            return;
+        genBits_[block] |= bit;
+        if (++currentCount_ < threshold_)
+            return;
+        current_ = (current_ + 1) % generations_;
+        filters_[current_].clear();
+        for (auto& bits : genBits_)
+            bits &= ~(1u << current_);
+        currentCount_ = 0;
+        ++rotations_;
+    }
+
+    void
+    onEvict(std::size_t block, Addr line)
+    {
+        const unsigned bits = genBits_[block];
+        if (bits != 0) {
+            // Youngest generation in which the block was accessed.
+            for (unsigned age = 0; age < generations_; ++age) {
+                const unsigned g = (current_ + generations_ - age) %
+                                   generations_;
+                if (bits & (1u << g)) {
+                    filters_[g].insert(line);
+                    break;
+                }
+            }
+        } else {
+            // Accessed before every live generation: the oldest.
+            filters_[(current_ + 1) % generations_].insert(line);
+        }
+        genBits_[block] = 0;
+    }
+
+    /** @return true when the miss is reported as a conflict. */
+    bool
+    onMiss(Addr line, const BloomAliasHook& alias)
+    {
+        for (const BloomFilter& f : filters_)
+            if (f.mayContain(line))
+                return true;
+        if (alias && alias()) {
+            ++forcedAliases_;
+            return true;
+        }
+        return false;
+    }
+
+    std::uint64_t rotations() const { return rotations_; }
+    std::uint64_t forcedAliases() const { return forcedAliases_; }
+
+  private:
+    unsigned generations_;
+    std::size_t threshold_;
+    std::vector<unsigned> genBits_;
+    std::vector<BloomFilter> filters_;
+    unsigned current_ = 0;
+    std::size_t currentCount_ = 0;
+    std::uint64_t rotations_ = 0;
+    std::uint64_t forcedAliases_ = 0;
+};
+
+/** One tracker configuration of the equivalence fuzz. */
+struct TrackerConfig
+{
+    unsigned generations;
+    unsigned hashes;
+    std::size_t bits; //!< per generation, before rounding
+};
+
+/** Names a run by its configuration (ctest names value-parameterized
+ *  tests by this). */
+void
+PrintTo(const TrackerConfig& c, std::ostream* os)
+{
+    *os << c.generations << "gen_" << c.hashes << "hash_" << c.bits
+        << "bits";
+}
+
+/** Generations {2, 4, 8} x hashes {1, 3, 4} x bits {100, 4096}. */
+std::vector<TrackerConfig>
+trackerConfigs()
+{
+    std::vector<TrackerConfig> configs;
+    for (unsigned generations : {2u, 4u, 8u})
+        for (unsigned hashes : {1u, 3u, 4u})
+            for (std::size_t bits : {100u, 4096u})
+                configs.push_back({generations, hashes, bits});
+    return configs;
+}
+
+class TrackerEquivalenceTest
+    : public ::testing::TestWithParam<TrackerConfig>
+{
+};
+
+TEST_P(TrackerEquivalenceTest, SlicedFiltersMatchPerGenerationFilters)
+{
+    const auto [generations, hashes, bits] = GetParam();
+    constexpr std::size_t kBlocks = 64;
+    ConflictTrackerParams params;
+    params.numGenerations = generations;
+    params.bloomHashes = hashes;
+    params.bloomBitsPerGeneration = bits;
+    ConflictMissTracker tracker(kBlocks, params);
+    ReferenceTracker ref(kBlocks, generations, bits, hashes);
+
+    // Both alias hooks draw from equal streams, so they agree as long
+    // as they are asked on the same misses.
+    Rng trackerAlias(99), refAlias(99);
+    tracker.setAliasHook([&] { return trackerAlias.nextBool(0.05); });
+    const BloomAliasHook refHook = [&] { return refAlias.nextBool(0.05); };
+    std::vector<ConflictMissEvent> got, want;
+    tracker.addListener(
+        [&](const ConflictMissEvent& e) { got.push_back(e); });
+
+    Rng rng(generations * 100 + hashes * 10 + bits);
+    std::uint64_t conflicts = 0, clean = 0;
+    for (Tick now = 0; now < 30000; ++now) {
+        // 512 lines over 64 blocks: evicted lines come back while
+        // their generation is live, and after it has rotated away.
+        const Addr line = rng.nextBelow(512) * 64;
+        const std::size_t block = rng.nextBelow(kBlocks);
+        const auto ctx = static_cast<ContextId>(rng.nextBelow(4));
+        const std::uint64_t op = rng.nextBelow(4);
+        if (op < 2) {
+            tracker.onAccess(block, line, ctx, now);
+            ref.onAccess(block);
+        } else if (op == 2) {
+            tracker.onEvict(block, line, ctx, now);
+            ref.onEvict(block, line);
+        } else {
+            const auto victim = static_cast<ContextId>(rng.nextBelow(4));
+            const bool hadVictim = rng.nextBool();
+            tracker.onMiss(line, ctx, victim, hadVictim, now);
+            if (ref.onMiss(line, refHook)) {
+                want.push_back(ConflictMissEvent{
+                    now, ctx, hadVictim ? victim : invalidContext});
+                ++conflicts;
+            } else {
+                ++clean;
+            }
+        }
+        ASSERT_EQ(got.size(), want.size()) << "conflict flag at " << now;
+        if (!want.empty()) {
+            ASSERT_EQ(got.back().time, want.back().time);
+            ASSERT_EQ(got.back().replacer, want.back().replacer);
+            ASSERT_EQ(got.back().victim, want.back().victim);
+        }
+        ASSERT_EQ(tracker.rotations(), ref.rotations()) << "at " << now;
+        ASSERT_EQ(tracker.forcedAliases(), ref.forcedAliases())
+            << "at " << now;
+    }
+    EXPECT_EQ(tracker.conflictMisses(), conflicts);
+    EXPECT_EQ(tracker.totalMisses(), conflicts + clean);
+    // The stream must reach every outcome the comparison covers.
+    EXPECT_GT(tracker.rotations(), 10u);
+    EXPECT_GT(conflicts - tracker.forcedAliases(), 0u);
+    EXPECT_GT(tracker.forcedAliases(), 0u);
+    EXPECT_GT(clean, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, TrackerEquivalenceTest,
+                         ::testing::ValuesIn(trackerConfigs()));
 
 } // namespace
 } // namespace cchunter

@@ -1,14 +1,16 @@
 /**
  * @file
  * Property tests: the Cache model fuzz-checked against an independent
- * reference implementation (per-set recency lists with owners:
- * hits, evicted lines and their owners, back-invalidations), and the
- * HistogramBuffer fuzz-checked against the offline event-density
- * computation over random event streams.
+ * reference implementation (per-set recency lists with owners and
+ * ways: hits, evicted lines and their owners, the block each access
+ * lands in, back-invalidations and flushes), and the HistogramBuffer
+ * fuzz-checked against the offline event-density computation over
+ * random event streams.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <ostream>
 #include <unordered_map>
@@ -25,7 +27,7 @@ namespace
 {
 
 /** Straightforward per-set LRU cache model built on std::list, with
- *  the owner of every resident line. */
+ *  the owner and way of every resident line. */
 class ReferenceCache
 {
   public:
@@ -35,29 +37,41 @@ class ReferenceCache
     {
     }
 
-    /** Access as `ctx`; on a miss the filled set's least recently
-     *  used line falls out of a full set. */
+    /** Access as `ctx`; on a miss the line fills the set's lowest free
+     *  way, or the least recently used line of a full set falls out
+     *  and the line takes its way.  `*block` is the line's block index
+     *  (set * ways + way) after the access. */
     CacheAccessResult
-    access(Addr addr, ContextId ctx)
+    access(Addr addr, ContextId ctx, std::size_t* block)
     {
         CacheAccessResult result;
         const Addr la = lineOf(addr);
-        auto& list = lru_[setOf(la)];
+        const std::size_t set = setOf(la);
+        auto& list = lru_[set];
         for (auto it = list.begin(); it != list.end(); ++it) {
             if (it->line == la) {
+                const std::size_t way = it->way;
                 list.erase(it);
-                list.push_front({la, ctx});
+                list.push_front({la, ctx, way});
                 result.hit = true;
+                *block = set * ways_ + way;
                 return result;
             }
         }
-        list.push_front({la, ctx});
-        if (list.size() > ways_) {
+        std::size_t way = 0;
+        if (list.size() == ways_) {
             result.evicted = true;
             result.evictedLineAddr = list.back().line;
             result.evictedOwner = list.back().owner;
+            way = list.back().way;
             list.pop_back();
+        } else {
+            while (std::any_of(list.begin(), list.end(),
+                               [&](const Line& l) { return l.way == way; }))
+                ++way;
         }
+        list.push_front({la, ctx, way});
+        *block = set * ways_ + way;
         return result;
     }
 
@@ -76,11 +90,19 @@ class ReferenceCache
         return false;
     }
 
+    void
+    flush()
+    {
+        for (auto& list : lru_)
+            list.clear();
+    }
+
   private:
     struct Line
     {
         Addr line;
         ContextId owner;
+        std::size_t way;
     };
 
     Addr lineOf(Addr addr) const { return addr - addr % line_; }
@@ -90,21 +112,41 @@ class ReferenceCache
     std::vector<std::list<Line>> lru_; //!< most recently used first
 };
 
-/** One fuzz run: the stream's seed and the cache's set count. */
+/** Records the block index of the latest access. */
+class LastBlockMonitor : public CacheMonitor
+{
+  public:
+    void
+    onAccess(std::size_t block_idx, Addr, ContextId, Tick) override
+    {
+        last = block_idx;
+    }
+    void onEvict(std::size_t, Addr, ContextId, Tick) override {}
+    void onMiss(Addr, ContextId, ContextId, bool, Tick) override {}
+
+    std::size_t last = 0;
+};
+
+/** One fuzz run: the stream's seed and the cache's set count and
+ *  associativity. */
 struct CacheFuzzCase
 {
     std::uint64_t seed;
     std::size_t sets;
+    std::size_t ways = 4;
 };
 
-/** Names a run by its seed, plus its set count when that is not the
- *  original 32 (ctest names value-parameterized tests by this). */
+/** Names a run by its seed, plus its set count and associativity when
+ *  they are not the original 32 and 4 (ctest names value-parameterized
+ *  tests by this). */
 void
 PrintTo(const CacheFuzzCase& c, std::ostream* os)
 {
     *os << c.seed;
     if (c.sets != 32)
         *os << "_" << c.sets << "sets";
+    if (c.ways != 4)
+        *os << "_" << c.ways << "way";
 }
 
 class CacheFuzzTest : public ::testing::TestWithParam<CacheFuzzCase>
@@ -113,17 +155,28 @@ class CacheFuzzTest : public ::testing::TestWithParam<CacheFuzzCase>
 
 TEST_P(CacheFuzzTest, MatchesReferenceOnRandomStreams)
 {
-    const CacheGeometry geom{GetParam().sets * 4 * 64, 4, 64};
+    const CacheFuzzCase& c = GetParam();
+    const CacheGeometry geom{c.sets * c.ways * 64, c.ways, 64};
     Cache cache("fuzz", geom);
-    ASSERT_EQ(geom.numSets(), GetParam().sets);
+    ASSERT_EQ(geom.numSets(), c.sets);
+    LastBlockMonitor monitor;
+    cache.setMonitor(&monitor);
     ReferenceCache ref(geom.numSets(), geom.associativity,
                        geom.lineSize);
-    Rng rng(GetParam().seed);
+    // At least twice as many lines as blocks: plenty of conflicts.
+    const std::size_t lines = std::max<std::size_t>(256, 2 * c.sets * c.ways);
+    Rng rng(c.seed);
     std::uint64_t lineZeroEvictions = 0;
     for (int i = 0; i < 50000; ++i) {
-        // 256 lines over 24-32 sets: plenty of conflicts.  Line 0 is
-        // one of them: its tag is the valid bit alone.
-        const Addr addr = rng.nextBelow(256) * 64 + rng.nextBelow(64);
+        // Line 0 is one of the lines: its tag is the valid bit alone.
+        const Addr addr = rng.nextBelow(lines) * 64 + rng.nextBelow(64);
+        // A rare flush empties every set; refills then choose among
+        // several invalid ways.
+        if (rng.nextBelow(5000) == 0) {
+            cache.flush();
+            ref.flush();
+            continue;
+        }
         // One operation in eight is a back-invalidation, as an
         // inclusive L2 sends to its L1s on an eviction.
         if (rng.nextBelow(8) == 0) {
@@ -133,10 +186,12 @@ TEST_P(CacheFuzzTest, MatchesReferenceOnRandomStreams)
             continue;
         }
         const auto ctx = static_cast<ContextId>(rng.nextBelow(2));
+        std::size_t block = 0;
         const CacheAccessResult got = cache.access(addr, ctx, i);
-        const CacheAccessResult want = ref.access(addr, ctx);
+        const CacheAccessResult want = ref.access(addr, ctx, &block);
         ASSERT_EQ(got.hit, want.hit)
             << "divergence at op " << i << " addr " << addr;
+        ASSERT_EQ(monitor.last, block) << "victim way at op " << i;
         ASSERT_EQ(got.evicted, want.evicted) << "op " << i;
         if (want.evicted) {
             ASSERT_EQ(got.evictedLineAddr, want.evictedLineAddr)
@@ -152,11 +207,14 @@ TEST_P(CacheFuzzTest, MatchesReferenceOnRandomStreams)
 }
 
 // 32 sets take the mask path of Cache::setIndex, 24 the modulo path.
+// 1 way is the cache tenants' L2, 8 ways the machines' L1.
 INSTANTIATE_TEST_SUITE_P(
     Seeds, CacheFuzzTest,
     ::testing::Values(CacheFuzzCase{11, 32}, CacheFuzzCase{22, 32},
                       CacheFuzzCase{33, 32}, CacheFuzzCase{44, 32},
-                      CacheFuzzCase{55, 24}));
+                      CacheFuzzCase{55, 24}, CacheFuzzCase{66, 32, 1},
+                      CacheFuzzCase{77, 24, 1}, CacheFuzzCase{88, 32, 8},
+                      CacheFuzzCase{99, 24, 8}));
 
 class HistogramBufferFuzzTest
     : public ::testing::TestWithParam<std::uint64_t>

@@ -141,6 +141,8 @@ TEST(TlbTest, DegenerateGeometryIsFatal)
     params = tinyTlb();
     params.pageBytes = 0;
     EXPECT_THROW(Tlb("tlb", params), std::runtime_error);
+    params.pageBytes = 1; // no spare page number for the tag
+    EXPECT_THROW(Tlb("tlb", params), std::runtime_error);
 }
 
 namespace
@@ -207,12 +209,15 @@ struct TlbFuzzCase
     std::size_t pageBytes;
 };
 
-/** Names a run by its set count and page size (ctest names
- *  value-parameterized tests by this). */
+/** Names a run by its set count and page size, plus its
+ *  associativity when that is not 4 (ctest names value-parameterized
+ *  tests by this). */
 void
 PrintTo(const TlbFuzzCase& c, std::ostream* os)
 {
     *os << c.entries / c.associativity << "sets_" << c.pageBytes << "B";
+    if (c.associativity != 4)
+        *os << "_" << c.associativity << "way";
 }
 
 class TlbFuzzTest : public ::testing::TestWithParam<TlbFuzzCase>
@@ -273,12 +278,16 @@ TEST_P(TlbFuzzTest, MatchesReferenceOnRandomStreams)
 }
 
 // 64 sets take the mask path of Tlb::setIndex, 24 the modulo path; a
-// 6000-byte page takes the division path of Tlb::pageNumber.
+// 6000-byte page takes the division path of Tlb::pageNumber.  One way
+// and eight ways bound the LRU victim scan.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, TlbFuzzTest,
     ::testing::Values(TlbFuzzCase{7, 256, 4, 4096},
                       TlbFuzzCase{8, 96, 4, 4096},
-                      TlbFuzzCase{9, 64, 4, 6000}));
+                      TlbFuzzCase{9, 64, 4, 6000},
+                      TlbFuzzCase{10, 64, 1, 4096},
+                      TlbFuzzCase{11, 256, 8, 4096},
+                      TlbFuzzCase{12, 192, 8, 6000}));
 
 TEST(TlbMemSystemTest, DisabledByDefaultAndLatencyNeutral)
 {

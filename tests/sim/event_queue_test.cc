@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "util/rng.hh"
 
 namespace cchunter
 {
@@ -165,6 +169,140 @@ TEST(EventQueueTest, ReturnsExecutedCount)
     EXPECT_EQ(eq.runUntil(5), 5u);
     EXPECT_EQ(eq.runUntil(100), 5u);
 }
+
+/**
+ * Drives an EventQueue and a reference model side by side: the
+ * reference is the set of pending events sorted on (tick, priority,
+ * sequence), and every firing must take its first element.  Handlers
+ * schedule 0-3 follow-ups at the current tick, between now and the
+ * earliest pending event, or far ahead, each at a random priority.
+ */
+class QueueFuzz
+{
+  public:
+    explicit QueueFuzz(std::uint64_t seed) : rng_(seed) {}
+
+    /** One random call, step(), runUntil() or schedule(), checked
+     *  against the reference. */
+    void
+    randomCall()
+    {
+        const std::uint64_t pick = rng_.nextBelow(10);
+        const std::uint64_t before = firings_;
+        if (pick < 4) {
+            const bool wanted = !pending_.empty();
+            const bool stepped = eq_.step();
+            EXPECT_EQ(stepped, wanted);
+            EXPECT_EQ(firings_ - before, wanted ? 1u : 0u);
+        } else if (pick < 6) {
+            const Tick until = eq_.now() + rng_.nextBelow(20000);
+            const std::uint64_t executed = eq_.runUntil(until);
+            EXPECT_EQ(executed, firings_ - before);
+            if (!pending_.empty()) {
+                EXPECT_GE(std::get<0>(*pending_.begin()), until);
+            }
+            now_ = std::max(now_, until);
+        } else {
+            scheduleRandom();
+        }
+        EXPECT_EQ(eq_.size(), pending_.size());
+        EXPECT_EQ(eq_.empty(), pending_.empty());
+        EXPECT_EQ(eq_.now(), now_);
+    }
+
+    /** Events fired so far. */
+    std::uint64_t firings() const { return firings_; }
+    /** Firings that were not the reference's first event, or saw the
+     *  wrong size, emptiness or time. */
+    std::uint64_t mismatches() const { return mismatches_; }
+    /** Events scheduled strictly before every pending event. */
+    std::uint64_t scheduledFirst() const { return scheduledFirst_; }
+
+  private:
+    /** (tick, priority, sequence): the queue's documented order. */
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+
+    /** Schedule one event at a random tick and priority; its argument
+     *  is its sequence number. */
+    void
+    scheduleRandom()
+    {
+        const Tick now = eq_.now();
+        Tick when = now;
+        const Tick first =
+            pending_.empty() ? now : std::get<0>(*pending_.begin());
+        switch (rng_.nextBelow(3)) {
+          case 0: // the current tick
+            break;
+          case 1: // before every pending event, where there is room
+            if (first > now)
+                when = now + rng_.nextBelow(first - now);
+            break;
+          default: // far ahead
+            when = now + 1000 + rng_.nextBelow(100000);
+        }
+        const auto prio = static_cast<EventPriority>(rng_.nextBelow(3));
+        const std::uint64_t seq = seq_++;
+        pending_.emplace(when, static_cast<int>(prio), seq);
+        scheduledFirst_ += std::get<2>(*pending_.begin()) == seq;
+        eq_.schedule(when, fire, this, seq, prio);
+    }
+
+    static void
+    fire(void* self, std::uint64_t seq)
+    {
+        static_cast<QueueFuzz*>(self)->onFire(seq);
+    }
+
+    void
+    onFire(std::uint64_t seq)
+    {
+        ++firings_;
+        const Key first = *pending_.begin();
+        pending_.erase(pending_.begin());
+        now_ = std::get<0>(first);
+        if (std::get<2>(first) != seq || eq_.now() != now_ ||
+            eq_.size() != pending_.size() ||
+            eq_.empty() != pending_.empty())
+            ++mismatches_;
+        // No follow-ups while the population is large keeps it
+        // bounded.
+        const std::uint64_t follow =
+            pending_.size() > 500 ? 0 : rng_.nextBelow(4);
+        for (std::uint64_t i = 0; i < follow; ++i)
+            scheduleRandom();
+    }
+
+    EventQueue eq_;
+    Rng rng_;
+    std::set<Key> pending_;
+    std::uint64_t seq_ = 0;
+    Tick now_ = 0;
+    std::uint64_t firings_ = 0;
+    std::uint64_t mismatches_ = 0;
+    std::uint64_t scheduledFirst_ = 0;
+};
+
+class EventQueueFuzzTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(EventQueueFuzzTest, FiresInSortedReferenceOrder)
+{
+    QueueFuzz fuzz(GetParam());
+    for (int call = 0; call < 20000; ++call) {
+        fuzz.randomCall();
+        ASSERT_FALSE(HasFailure()) << "diverged at call " << call;
+        ASSERT_EQ(fuzz.mismatches(), 0u) << "at call " << call;
+    }
+    EXPECT_GT(fuzz.firings(), 10000u);
+    // Many events land ahead of everything pending, so the front of
+    // the queue is exercised as much as the heap behind it.
+    EXPECT_GT(fuzz.scheduledFirst(), 2000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzzTest,
+                         ::testing::Values(1, 2, 3, 4));
 
 } // namespace
 } // namespace cchunter
