@@ -222,45 +222,11 @@ BM_KMeans512(benchmark::State& state)
 }
 BENCHMARK(BM_KMeans512);
 
-/** k-means with 8 restarts, fanned across a pool of range(0) threads. */
-void
-BM_KMeansRestartsThreaded(benchmark::State& state)
-{
-    Rng rng(5);
-    std::vector<std::vector<double>> points;
-    for (int i = 0; i < 512; ++i) {
-        std::vector<double> p(128, 0.0);
-        p[0] = 10.0;
-        p[20] = (i % 2) ? 8.0 + rng.nextDouble() : 0.0;
-        p[1] = rng.nextDouble();
-        points.push_back(std::move(p));
-    }
-    KMeansParams params;
-    params.k = 4;
-    params.restarts = 8;
-    // Arg(1) measures the true serial path (no pool at all); the
-    // caller participates in parallelFor, so a 1-worker pool would
-    // really be two threads.
-    const auto threads = static_cast<std::size_t>(state.range(0));
-    ThreadPool pool(threads);
-    ThreadPool* used = threads > 1 ? &pool : nullptr;
-    for (auto _ : state) {
-        auto r = kmeans(points, params, used);
-        benchmark::DoNotOptimize(r);
-    }
-}
-BENCHMARK(BM_KMeansRestartsThreaded)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
 /**
  * Daemon fan-out: the per-quantum analysis pass over 16 monitored
  * units (each an oscillation analysis of an 8192-event labelled train
  * plus a burst scan), spread across a pool of range(0) threads.  This
- * is the per-slot work AuditDaemon::runOnlineAnalyses performs; wall
+ * is the per-slot work AuditDaemon::analyzeBatch performs; wall
  * time should drop as the pool grows (>= 2x from 1 to 4 threads on a
  * 4-core host).
  */

@@ -25,10 +25,6 @@ PipelineStats::accumulate(const PipelineStats& other)
     drainedConflicts += other.drainedConflicts;
     evictedQuanta += other.evictedQuanta;
     evictedConflicts += other.evictedConflicts;
-    batchesEnqueued += other.batchesEnqueued;
-    batchesDropped += other.batchesDropped;
-    queueDepthHighWater =
-        std::max(queueDepthHighWater, other.queueDepthHighWater);
     if (other.analysesRun != 0) {
         latencyMinUs = analysesRun == 0
                            ? other.latencyMinUs
@@ -45,10 +41,8 @@ PipelineStats::summary() const
     std::ostringstream os;
     os << "drained " << drainedHistograms << " hist / "
        << drainedConflicts << " conflicts, evicted " << evictedQuanta
-       << " quanta / " << evictedConflicts << " conflicts, batches "
-       << batchesEnqueued << " (" << batchesDropped
-       << " dropped, queue hwm " << queueDepthHighWater
-       << "), analyses " << analysesRun;
+       << " quanta / " << evictedConflicts << " conflicts, analyses "
+       << analysesRun;
     if (analysesRun != 0) {
         os.precision(1);
         os << std::fixed << ", latency us min/mean/max "
@@ -74,12 +68,6 @@ pipelineStatEntries(const PipelineStats& s, const std::string& prefix)
         "histograms aged out of retention windows");
     add("evicted_conflicts", static_cast<double>(s.evictedConflicts),
         "conflict records aged out of retention windows");
-    add("batches_enqueued", static_cast<double>(s.batchesEnqueued),
-        "analysis batches handed to the consumer");
-    add("batches_dropped", static_cast<double>(s.batchesDropped),
-        "analysis batches shed under DropOldest overflow");
-    add("queue_depth_hwm", static_cast<double>(s.queueDepthHighWater),
-        "hand-off queue depth high-water mark");
     add("analyses_run", static_cast<double>(s.analysesRun),
         "online analysis passes completed");
     add("latency_min_us", s.latencyMinUs,
@@ -237,14 +225,6 @@ AuditDaemon::AuditDaemon(Machine& machine, CCAuditor& auditor,
         wireCacheSlot(s);
 }
 
-AuditDaemon::~AuditDaemon()
-{
-    if (queue_)
-        queue_->close();
-    if (analysisThread_.joinable())
-        analysisThread_.join();
-}
-
 namespace
 {
 
@@ -277,15 +257,12 @@ AuditDaemon::wireCacheSlot(unsigned slot)
                 SlotState& st = slots_[slot];
                 st.conflictsTruncated += m.truncatedEvents;
                 st.conflictsCorrupted += m.corruptedContexts;
-                if (m.any()) {
-                    std::lock_guard<std::mutex> lock(statsMutex_);
-                    if (m.truncated)
-                        ++degraded_.truncatedBatches;
-                    degraded_.truncatedEvents += m.truncatedEvents;
-                    if (m.reordered)
-                        ++degraded_.reorderedBatches;
-                    degraded_.corruptedContexts += m.corruptedContexts;
-                }
+                if (m.truncated)
+                    ++degraded_.truncatedBatches;
+                degraded_.truncatedEvents += m.truncatedEvents;
+                if (m.reordered)
+                    ++degraded_.reorderedBatches;
+                degraded_.corruptedContexts += m.corruptedContexts;
                 ingestConflicts(slot, mutated);
             } else {
                 ingestConflicts(slot, evs);
@@ -325,7 +302,6 @@ AuditDaemon::ingestConflicts(unsigned slot,
         st.quantumLabels.push_back(labelOf(rec));
         st.records.push(rec);
     }
-    std::lock_guard<std::mutex> lock(statsMutex_);
     stats_.drainedConflicts += evs.size();
 }
 
@@ -350,10 +326,7 @@ AuditDaemon::onQuantum(std::uint64_t quantum_index, Tick now)
         // presence ring records the hole so analyses can report
         // effective (not nominal) coverage.
         presence_.push(0);
-        {
-            std::lock_guard<std::mutex> lock(statsMutex_);
-            ++degraded_.missedQuanta;
-        }
+        ++degraded_.missedQuanta;
         currentQuantum_ = quantum_index + 1;
         ++quanta_;
         return;
@@ -386,21 +359,18 @@ AuditDaemon::onQuantum(std::uint64_t quantum_index, Tick now)
             }
             if (auto evicted = st.window.push(std::move(h)))
                 st.merged.unmerge(*evicted);
-            std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.drainedHistograms;
             degraded_.saturatedBinEvents += saturated;
         }
         if (auto* vr = auditor_.vectorRegisters(s))
             vr->flush();
     }
-    if (duplicate) {
-        std::lock_guard<std::mutex> lock(statsMutex_);
+    if (duplicate)
         ++degraded_.duplicatedQuanta;
-    }
     if (online_)
         dispatchAnalyses(quantum_index, now);
     // The per-quantum label buffers only live for the quantum they
-    // were drained in (async batches take them by move).
+    // were drained in.
     for (auto& st : slots_)
         st.quantumLabels.clear();
     currentQuantum_ = quantum_index + 1;
@@ -413,8 +383,6 @@ AuditDaemon::enableOnlineAnalysis(OnlineAnalysisParams params,
 {
     if (params.clusteringIntervalQuanta == 0)
         fatal("enableOnlineAnalysis: clustering interval must be > 0");
-    if (analysisThread_.joinable())
-        fatal("enableOnlineAnalysis: async analysis already running");
     online_ = true;
     onlineParams_ = params;
     alarmCallback_ = std::move(callback);
@@ -426,11 +394,6 @@ AuditDaemon::enableOnlineAnalysis(OnlineAnalysisParams params,
     setContentionRetention(params.retentionQuanta != 0
                                ? params.retentionQuanta
                                : params.clusteringIntervalQuanta);
-    if (params.asyncAnalysis) {
-        queue_ = std::make_unique<BoundedQueue<AnalysisBatch>>(
-            params.queueCapacity, params.queueOverflow);
-        analysisThread_ = std::thread([this] { analysisLoop(); });
-    }
 }
 
 void
@@ -461,8 +424,6 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
     const bool clusteringDue =
         (quantum_index + 1) % onlineParams_.clusteringIntervalQuanta ==
         0;
-    const bool async = queue_ != nullptr;
-    const double coverage = windowCoverage();
 
     AnalysisBatch batch;
     batch.quantum = quantum_index;
@@ -472,82 +433,39 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
             continue;
         SlotWork sv;
         sv.slot = s;
-        sv.target = auditor_.slotTarget(s);
         sv.hasContention =
             auditor_.histogramBuffer(s) != nullptr && clusteringDue;
         sv.hasOscillation = auditor_.vectorRegisters(s) != nullptr &&
                             onlineParams_.autocorrEveryQuantum;
         if (!sv.hasContention && !sv.hasOscillation)
             continue;
-        // Degradation context travels with the work so the consumer
-        // thread never reads live (sim-thread-owned) state.
-        sv.coverage = coverage;
-        sv.integrity = conflictIntegrity(s);
-        if (async) {
-            // The simulation keeps mutating the live windows, so the
-            // hand-off carries snapshots: the histogram window only
-            // when clustering is due, the labels always (by move —
-            // they are per-quantum anyway).
-            SlotState& st = slots_[s];
-            if (sv.hasContention) {
-                sv.windowCopy = st.window.toVector();
-                if (st.mergedInit) {
-                    sv.mergedCopy = st.merged;
-                    sv.mergedValid = true;
-                }
-            }
-            if (sv.hasOscillation)
-                sv.labels = std::move(st.quantumLabels);
-        }
         batch.work.push_back(std::move(sv));
     }
     if (batch.work.empty())
         return;
 
     // Batch corruption happens *after* assembly — it models the
-    // hand-off itself going wrong, which is exactly what the
-    // validation stage on the consuming side must catch.
+    // analysis input itself going wrong, which is exactly what the
+    // validation stage must catch.  A corrupted batch analyses its
+    // (mangled) snapshots rather than the pristine live windows.
     bool corrupted = false;
     if (injector_) {
         const FaultInjector::BatchCorruption kind =
             injector_->nextBatchCorruption();
         if (kind != FaultInjector::BatchCorruption::None) {
-            if (!async)
-                materializeSnapshots(batch);
+            materializeSnapshots(batch);
             corrupted = applyBatchCorruption(batch, kind);
             if (corrupted)
                 injector_->recordBatchCorruption();
         }
     }
-    // An inline batch that was corrupted analyses its (mangled)
-    // snapshots rather than the pristine live windows.
-    const bool from_snapshots = async || corrupted;
-
-    if (async) {
-        {
-            std::lock_guard<std::mutex> lock(idleMutex_);
-            ++submitted_;
-        }
-        const auto outcome = queue_->push(std::move(batch));
-        if (!outcome.accepted || outcome.displaced) {
-            // Rejected by a closing queue, or an older batch was shed:
-            // either way one submission will never be analysed, and
-            // the idle accounting must reflect that or flushAnalyses()
-            // blocks forever.
-            std::lock_guard<std::mutex> lock(idleMutex_);
-            ++completed_;
-            idleCv_.notify_all();
-        }
-        return;
-    }
 
     const auto t0 = std::chrono::steady_clock::now();
-    const QuarantineReason reason =
-        validateBatch(batch, from_snapshots);
+    const QuarantineReason reason = validateBatch(batch, corrupted);
     if (reason != QuarantineReason::None) {
         quarantineBatch(reason);
     } else {
-        analyzeBatch(batch, from_snapshots);
+        analyzeBatch(batch, corrupted);
         applyVerdicts(batch);
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -560,14 +478,14 @@ AuditDaemon::materializeSnapshots(AnalysisBatch& batch)
 {
     for (auto& sv : batch.work) {
         SlotState& st = slots_[sv.slot];
-        if (sv.hasContention && sv.windowCopy.empty()) {
+        if (sv.hasContention) {
             sv.windowCopy = st.window.toVector();
             if (st.mergedInit) {
                 sv.mergedCopy = st.merged;
                 sv.mergedValid = true;
             }
         }
-        if (sv.hasOscillation && sv.labels.empty())
+        if (sv.hasOscillation)
             sv.labels = st.quantumLabels;
     }
 }
@@ -655,7 +573,6 @@ AuditDaemon::validateBatch(const AnalysisBatch& batch,
 void
 AuditDaemon::quarantineBatch(QuarantineReason reason)
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
     ++degraded_.quarantinedBatches;
     switch (reason) {
     case QuarantineReason::BadLabel:
@@ -723,23 +640,20 @@ AuditDaemon::analyzeBatch(AnalysisBatch& batch, bool from_snapshots)
 void
 AuditDaemon::applyVerdicts(AnalysisBatch& batch)
 {
-    // Apply verdicts in slot order, contention before oscillation —
-    // the exact alarm stream the serial inline path produces.
+    // Apply verdicts in slot order, contention before oscillation, so
+    // the alarm stream does not depend on the analysisThreads fan-out.
     auto clamp01 = [](double v) {
         return std::max(0.0, std::min(1.0, v));
     };
-    std::lock_guard<std::mutex> lock(alarmsMutex_);
+    const double coverage = windowCoverage();
     auto raise = [&](const SlotWork& sv, AlarmKind kind,
                      std::string summary, double confidence,
                      std::uint64_t dominant) {
-        Alarm alarm{sv.slot,     batch.now, batch.quantum,
+        Alarm alarm{sv.slot,    batch.now,  batch.quantum,
                     std::move(summary),     confidence,
-                    sv.target,   kind,      dominant};
+                    auditor_.slotTarget(sv.slot), kind, dominant};
         alarms_.push_back(alarm);
         if (confidence < 1.0) {
-            // Lock order alarmsMutex_ -> statsMutex_ appears only
-            // here; no path takes them in the opposite order.
-            std::lock_guard<std::mutex> slock(statsMutex_);
             ++degraded_.degradedAlarms;
             degraded_.minAlarmConfidence =
                 std::min(degraded_.minAlarmConfidence, confidence);
@@ -750,12 +664,12 @@ AuditDaemon::applyVerdicts(AnalysisBatch& batch)
     for (const auto& sv : batch.work) {
         if (sv.hasContention && sv.contention.detected)
             raise(sv, AlarmKind::Contention, sv.contention.summary(),
-                  clamp01(sv.coverage * (1.0 - sv.satFraction)),
+                  clamp01(coverage * (1.0 - sv.satFraction)),
                   sv.contention.combined.burstPeakBin);
         if (sv.hasOscillation && sv.oscillation.detected)
             raise(sv, AlarmKind::Oscillation,
                   sv.oscillation.summary(),
-                  clamp01(sv.coverage * sv.integrity),
+                  clamp01(coverage * conflictIntegrity(sv.slot)),
                   sv.oscillation.analysis.dominantLag);
     }
 }
@@ -763,7 +677,6 @@ AuditDaemon::applyVerdicts(AnalysisBatch& batch)
 void
 AuditDaemon::recordAnalysisLatency(double micros)
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
     stats_.latencyMinUs = stats_.analysesRun == 0
                               ? micros
                               : std::min(stats_.latencyMinUs, micros);
@@ -772,61 +685,13 @@ AuditDaemon::recordAnalysisLatency(double micros)
     ++stats_.analysesRun;
 }
 
-void
-AuditDaemon::analysisLoop()
-{
-    while (auto batch = queue_->pop()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-            const QuarantineReason reason =
-                validateBatch(*batch, /*from_snapshots=*/true);
-            if (reason != QuarantineReason::None) {
-                quarantineBatch(reason);
-            } else {
-                analyzeBatch(*batch, /*from_snapshots=*/true);
-                applyVerdicts(*batch);
-            }
-        } catch (const std::exception& e) {
-            warn("online analysis batch failed: ", e.what());
-        }
-        const auto t1 = std::chrono::steady_clock::now();
-        recordAnalysisLatency(
-            std::chrono::duration<double, std::micro>(t1 - t0)
-                .count());
-        {
-            std::lock_guard<std::mutex> lock(idleMutex_);
-            ++completed_;
-        }
-        idleCv_.notify_all();
-    }
-}
-
-void
-AuditDaemon::flushAnalyses() const
-{
-    if (!queue_)
-        return;
-    std::unique_lock<std::mutex> lock(idleMutex_);
-    idleCv_.wait(lock, [this] { return completed_ == submitted_; });
-}
-
 PipelineStats
 AuditDaemon::pipelineStats() const
 {
-    flushAnalyses();
-    PipelineStats out;
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        out = stats_;
-    }
+    PipelineStats out = stats_;
     for (const auto& st : slots_) {
         out.evictedQuanta += st.window.evictions();
         out.evictedConflicts += st.records.evictions();
-    }
-    if (queue_) {
-        out.batchesEnqueued = queue_->pushed();
-        out.batchesDropped = queue_->dropped();
-        out.queueDepthHighWater = queue_->highWaterMark();
     }
     return out;
 }
@@ -891,12 +756,7 @@ AuditDaemon::oscillationConfidence(unsigned slot) const
 DegradedStats
 AuditDaemon::degradedStats() const
 {
-    flushAnalyses();
-    DegradedStats out;
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        out = degraded_;
-    }
+    DegradedStats out = degraded_;
     // Component-held counters are read live rather than mirrored on
     // every event; the daemon's own ledger only carries what the
     // components cannot see (quanta, batches, quarantines).
@@ -917,14 +777,12 @@ AuditDaemon::degradedStats() const
 const std::vector<Alarm>&
 AuditDaemon::alarms() const
 {
-    flushAnalyses();
     return alarms_;
 }
 
 std::uint64_t
 AuditDaemon::firstAlarmQuantum(unsigned slot) const
 {
-    flushAnalyses();
     for (const auto& a : alarms_)
         if (a.slot == slot)
             return a.quantum;

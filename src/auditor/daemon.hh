@@ -15,27 +15,22 @@
  * counters.  The merged contention histogram and the per-quantum
  * label series are maintained incrementally (add-on-drain /
  * subtract-on-evict), so both daemon memory and per-quantum analysis
- * cost are flat in the total run length.  Online analyses can run
- * inline with the simulation loop or be handed to a dedicated
- * consumer thread through a bounded queue with backpressure (Block)
- * or lossy (DropOldest) overflow handling.
+ * cost are flat in the total run length.  Online analyses run inline
+ * at each quantum boundary, after the drain, as the paper's single
+ * background process does.
  */
 
 #ifndef CCHUNTER_AUDITOR_DAEMON_HH
 #define CCHUNTER_AUDITOR_DAEMON_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "auditor/cc_auditor.hh"
 #include "detect/detector.hh"
 #include "faults/fault_injector.hh"
 #include "sim/stats_report.hh"
-#include "util/bounded_queue.hh"
 #include "util/histogram.hh"
 #include "util/ring_buffer.hh"
 #include "util/thread_pool.hh"
@@ -91,22 +86,6 @@ struct OnlineAnalysisParams
      */
     std::size_t retentionQuanta = 0;
 
-    /**
-     * Run analyses on a dedicated consumer thread fed through a
-     * bounded hand-off queue instead of inline with the simulation
-     * loop.  The alarm stream is identical to the inline path as long
-     * as no batches are dropped.
-     */
-    bool asyncAnalysis = false;
-
-    /** Capacity of the hand-off queue (asyncAnalysis only). */
-    std::size_t queueCapacity = 8;
-
-    /** Full-queue behaviour: Block applies backpressure to the
-     *  simulation loop; DropOldest sheds the stalest batch and counts
-     *  the loss. */
-    OverflowPolicy queueOverflow = OverflowPolicy::Block;
-
     /** Analysis parameters. */
     CCHunterParams hunter;
 };
@@ -118,9 +97,6 @@ struct PipelineStats
     std::uint64_t drainedConflicts = 0;  //!< conflict records drained
     std::uint64_t evictedQuanta = 0;     //!< histograms aged out
     std::uint64_t evictedConflicts = 0;  //!< conflict records aged out
-    std::uint64_t batchesEnqueued = 0;   //!< async batches handed off
-    std::uint64_t batchesDropped = 0;    //!< batches shed (DropOldest)
-    std::size_t queueDepthHighWater = 0; //!< deepest hand-off backlog
     std::uint64_t analysesRun = 0;       //!< analysis passes completed
     double latencyMinUs = 0.0;           //!< fastest analysis pass
     double latencyMaxUs = 0.0;           //!< slowest analysis pass
@@ -262,9 +238,6 @@ class AuditDaemon
     AuditDaemon(Machine& machine, CCAuditor& auditor,
                 DaemonRetention retention = {});
 
-    /** Stops the async analysis consumer, draining queued batches. */
-    ~AuditDaemon();
-
     AuditDaemon(const AuditDaemon&) = delete;
     AuditDaemon& operator=(const AuditDaemon&) = delete;
 
@@ -317,14 +290,14 @@ class AuditDaemon
     /** Conflict records aged out of a slot's window so far. */
     std::uint64_t evictedConflicts(unsigned slot) const;
 
-    /** Pipeline observability snapshot (flushes pending analyses). */
+    /** Pipeline observability snapshot. */
     PipelineStats pipelineStats() const;
 
     /**
-     * Degraded-operation snapshot (flushes pending analyses): the
-     * daemon's own fault ledger plus the sensor-side counters read off
-     * the auditor hardware (bin saturations, forced Bloom aliases,
-     * merged-window underflow clamps).
+     * Degraded-operation snapshot: the daemon's own fault ledger plus
+     * the sensor-side counters read off the auditor hardware (bin
+     * saturations, forced Bloom aliases, merged-window underflow
+     * clamps).
      */
     DegradedStats degradedStats() const;
 
@@ -357,24 +330,18 @@ class AuditDaemon
      *  `slot`: window coverage times conflict-path integrity. */
     double oscillationConfidence(unsigned slot) const;
 
-    /** Wait until every queued analysis batch has been processed.
-     *  No-op in the inline (synchronous) mode. */
-    void flushAnalyses() const;
-
     /**
      * Switch on live analysis at the paper's cadence: recurrent-burst
      * clustering every clusteringIntervalQuanta, oscillation analysis
      * on each quantum's conflict labels.  The callback fires for every
-     * positive verdict (on the consumer thread when asyncAnalysis is
-     * set); raised alarms are also retained.  Adjusts the contention
-     * retention to params.retentionQuanta (or the clustering interval
-     * when 0).
+     * positive verdict; raised alarms are also retained.  Adjusts the
+     * contention retention to params.retentionQuanta (or the
+     * clustering interval when 0).
      */
     void enableOnlineAnalysis(OnlineAnalysisParams params,
                               AlarmCallback callback = {});
 
-    /** Alarms raised by online analysis so far (flushes pending
-     *  analyses first). */
+    /** Alarms raised by online analysis so far. */
     const std::vector<Alarm>& alarms() const;
 
     /** Quantum index of the first alarm on a slot (detection latency);
@@ -400,7 +367,7 @@ class AuditDaemon
          *  series materialisation). */
         std::vector<double> quantumLabels;
 
-        // Conflict-path integrity accounting (sim thread only).
+        // Conflict-path integrity accounting.
         std::uint64_t conflictsIngested = 0;
         std::uint64_t conflictsTruncated = 0;
         std::uint64_t conflictsCorrupted = 0;
@@ -410,30 +377,20 @@ class AuditDaemon
     struct SlotWork
     {
         unsigned slot = 0;
-        /** Unit kind captured at dispatch (sim thread) so alarms can
-         *  carry it without the consumer touching live auditor
-         *  state. */
-        MonitorTarget target = MonitorTarget::None;
         bool hasContention = false;
         bool hasOscillation = false;
-        // Owned snapshots, filled for the async hand-off (and for an
-        // inline batch about to be corrupted); the clean inline path
-        // analyses the live windows in place.
+        // Owned snapshots, filled only for a batch about to be
+        // corrupted; a clean batch analyses the live windows in place.
         std::vector<Histogram> windowCopy;
         Histogram mergedCopy{1};
         bool mergedValid = false;
         std::vector<double> labels;
         ContentionVerdict contention;
         OscillationVerdict oscillation;
-
-        // Degradation context captured at dispatch (sim thread) so the
-        // consumer can stamp confidences without touching live state.
-        double coverage = 1.0;
-        double integrity = 1.0;
         double satFraction = 0.0; //!< filled by analyzeBatch
     };
 
-    /** One quantum's hand-off unit. */
+    /** One quantum's analysis work. */
     struct AnalysisBatch
     {
         std::uint64_t quantum = 0;
@@ -455,7 +412,6 @@ class AuditDaemon
     void analyzeBatch(AnalysisBatch& batch, bool from_snapshots);
     void applyVerdicts(AnalysisBatch& batch);
     void recordAnalysisLatency(double micros);
-    void analysisLoop();
     void setContentionRetention(std::size_t quanta);
     const SlotState& slotState(unsigned slot) const;
 
@@ -465,7 +421,7 @@ class AuditDaemon
     std::vector<SlotState> slots_;
     FaultInjector* injector_ = nullptr;
     /** 1 per attended quantum, 0 per missed one, over the contention
-     *  retention window (sim thread only). */
+     *  retention window. */
     RingBuffer<std::uint8_t> presence_{512};
     DegradedStats degraded_;
     std::uint64_t currentQuantum_ = 0;
@@ -477,18 +433,8 @@ class AuditDaemon
     std::unique_ptr<ThreadPool> pool_;
 
     // Pipeline observability (drain-side counters live here; eviction
-    // counters are read off the rings; queue counters off the queue).
+    // counters are read off the rings).
     PipelineStats stats_;
-    mutable std::mutex statsMutex_;
-
-    // Async hand-off machinery.
-    std::unique_ptr<BoundedQueue<AnalysisBatch>> queue_;
-    std::thread analysisThread_;
-    mutable std::mutex alarmsMutex_;
-    mutable std::mutex idleMutex_;
-    mutable std::condition_variable idleCv_;
-    std::uint64_t submitted_ = 0;
-    std::uint64_t completed_ = 0;
 };
 
 } // namespace cchunter

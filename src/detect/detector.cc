@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace cchunter
 {
@@ -99,10 +98,7 @@ DetectionThresholds::apply(CCHunterParams base) const
     return base;
 }
 
-CCHunter::CCHunter(CCHunterParams params, ThreadPool* pool)
-    : params_(params), pool_(pool)
-{
-}
+CCHunter::CCHunter(CCHunterParams params) : params_(params) {}
 
 ContentionVerdict
 CCHunter::analyzeContention(const std::vector<Histogram>& quanta) const
@@ -124,21 +120,12 @@ CCHunter::analyzeContention(const std::vector<const Histogram*>& quanta,
 
     BurstDetector detector(params_.clustering.burst);
 
-    // Per-quantum burst scans are independent; fan them out and write
-    // results by index so the output matches the serial order.
-    out.perQuantum.resize(quanta.size());
-    auto scanQuantum = [&](std::size_t i) {
-        out.perQuantum[i] = detector.analyze(*quanta[i]);
-    };
-    if (pool_ && quanta.size() > 1) {
-        pool_->parallelFor(quanta.size(), scanQuantum);
-    } else {
-        for (std::size_t i = 0; i < quanta.size(); ++i)
-            scanQuantum(i);
-    }
-    for (const auto& ba : out.perQuantum)
-        if (ba.significant)
+    out.perQuantum.reserve(quanta.size());
+    for (const Histogram* h : quanta) {
+        out.perQuantum.push_back(detector.analyze(*h));
+        if (out.perQuantum.back().significant)
             ++out.significantQuanta;
+    }
 
     if (premerged) {
         // The incrementally maintained merged histogram accumulates
@@ -171,7 +158,7 @@ CCHunter::analyzeContention(const std::vector<const Histogram*>& quanta,
     }
 
     PatternClusteringAnalyzer clusterer(params_.clustering);
-    out.recurrence = clusterer.analyze(quanta, pool_);
+    out.recurrence = clusterer.analyze(quanta);
 
     // A channel is flagged when significant bursts exist and recur.
     // With a single quantum of data, the per-quantum significance alone
@@ -210,24 +197,13 @@ CCHunter::analyzeOscillationWindowed(
     if (windows == 0)
         return OscillationVerdict{};
 
-    std::vector<OscillationVerdict> verdicts(windows);
-    auto analyzeWindow = [&](std::size_t w) {
+    // Keep the first of the strongest windows, in window order.
+    OscillationVerdict best;
+    for (std::size_t w = 0; w < windows; ++w) {
         const std::size_t lo = w * win;
         const std::size_t hi = std::min(n, lo + win);
-        std::vector<double> sub(label_series.begin() + lo,
-                                label_series.begin() + hi);
-        verdicts[w] = analyzeOscillation(sub);
-    };
-    if (pool_ && windows > 1) {
-        pool_->parallelFor(windows, analyzeWindow);
-    } else {
-        for (std::size_t w = 0; w < windows; ++w)
-            analyzeWindow(w);
-    }
-
-    // Reduce in window order: identical selection to the serial scan.
-    OscillationVerdict best;
-    for (auto& v : verdicts) {
+        OscillationVerdict v = analyzeOscillation(std::vector<double>(
+            label_series.begin() + lo, label_series.begin() + hi));
         const bool better =
             (v.detected && !best.detected) ||
             (v.detected == best.detected &&

@@ -142,14 +142,7 @@ struct DetectionThresholds
 class CCHunter
 {
   public:
-    /**
-     * An optional thread pool fans out the independent pieces of each
-     * analysis (per-quantum burst scans, k-means candidate counts,
-     * oscillation sub-windows).  Results are identical to the serial
-     * path; the pool must outlive the hunter.
-     */
-    explicit CCHunter(CCHunterParams params = {},
-                      ThreadPool* pool = nullptr);
+    explicit CCHunter(CCHunterParams params = {});
 
     /** Run the recurrent-burst pipeline over a window of quanta. */
     ContentionVerdict analyzeContention(
@@ -188,7 +181,6 @@ class CCHunter
 
   private:
     CCHunterParams params_;
-    ThreadPool* pool_ = nullptr;
 };
 
 } // namespace cchunter

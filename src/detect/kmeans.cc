@@ -7,7 +7,6 @@
 
 #include "util/logging.hh"
 #include "util/simd.hh"
-#include "util/thread_pool.hh"
 
 namespace cchunter
 {
@@ -146,7 +145,7 @@ runFromSeed(const std::vector<std::vector<double>>& points,
 
 KMeansResult
 kmeans(const std::vector<std::vector<double>>& points,
-       const KMeansParams& params, ThreadPool* pool)
+       const KMeansParams& params)
 {
     if (points.empty())
         return KMeansResult{};
@@ -158,26 +157,18 @@ kmeans(const std::vector<std::vector<double>>& points,
     if (k == 0)
         fatal("kmeans: k must be positive");
 
+    // Lowest inertia wins; ties break towards the earliest restart.
     const unsigned restarts = std::max(1u, params.restarts);
-    std::vector<KMeansResult> runs(restarts);
-    auto oneRestart = [&](std::size_t r) {
-        runs[r] = runFromSeed(points, k, dim, params.maxIterations,
-                              params.seed + r);
-    };
-    if (pool && restarts > 1) {
-        pool->parallelFor(restarts, oneRestart);
-    } else {
-        for (std::size_t r = 0; r < restarts; ++r)
-            oneRestart(r);
+    KMeansResult best = runFromSeed(points, k, dim, params.maxIterations,
+                                    params.seed);
+    for (unsigned r = 1; r < restarts; ++r) {
+        KMeansResult run = runFromSeed(points, k, dim,
+                                       params.maxIterations,
+                                       params.seed + r);
+        if (run.inertia < best.inertia)
+            best = std::move(run);
     }
-
-    // Lowest inertia wins; ties break towards the earliest restart so
-    // the winner does not depend on completion order.
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < restarts; ++r)
-        if (runs[r].inertia < runs[best].inertia)
-            best = r;
-    return std::move(runs[best]);
+    return best;
 }
 
 double
@@ -230,8 +221,7 @@ silhouetteScore(const std::vector<std::vector<double>>& points,
 
 KMeansResult
 kmeansAuto(const std::vector<std::vector<double>>& points,
-           std::size_t max_k, std::uint64_t seed, ThreadPool* pool,
-           unsigned restarts)
+           std::size_t max_k, std::uint64_t seed, unsigned restarts)
 {
     KMeansResult best;
     if (points.empty())
@@ -245,34 +235,21 @@ kmeansAuto(const std::vector<std::vector<double>>& points,
         p.k = 1;
         p.seed = seed;
         p.restarts = restarts;
-        return kmeans(points, p, pool);
+        return kmeans(points, p);
     }
 
-    // Each candidate k is independent; fan them out, then select in
-    // ascending-k order exactly as the serial scan would.
-    const std::size_t candidates = limit - 1;
-    std::vector<KMeansResult> runs(candidates);
-    std::vector<double> scores(candidates, -2.0);
-    auto oneCandidate = [&](std::size_t idx) {
-        KMeansParams p;
-        p.k = idx + 2;
-        p.seed = seed + p.k;
-        p.restarts = restarts;
-        runs[idx] = kmeans(points, p); // serial inside: no nested fan-out
-        scores[idx] = silhouetteScore(points, runs[idx]);
-    };
-    if (pool && candidates > 1) {
-        pool->parallelFor(candidates, oneCandidate);
-    } else {
-        for (std::size_t idx = 0; idx < candidates; ++idx)
-            oneCandidate(idx);
-    }
-
+    // Scan k in ascending order; the first best silhouette wins.
     double best_score = -2.0;
-    for (std::size_t idx = 0; idx < candidates; ++idx) {
-        if (scores[idx] > best_score) {
-            best_score = scores[idx];
-            best = std::move(runs[idx]);
+    for (std::size_t k = 2; k <= limit; ++k) {
+        KMeansParams p;
+        p.k = k;
+        p.seed = seed + k;
+        p.restarts = restarts;
+        KMeansResult run = kmeans(points, p);
+        const double score = silhouetteScore(points, run);
+        if (score > best_score) {
+            best_score = score;
+            best = std::move(run);
         }
     }
     return best;

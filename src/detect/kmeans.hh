@@ -15,8 +15,6 @@
 namespace cchunter
 {
 
-class ThreadPool;
-
 /** Result of one k-means run. */
 struct KMeansResult
 {
@@ -49,9 +47,7 @@ struct KMeansParams
     /**
      * Independent k-means++ restarts; restart r seeds its own
      * Rng(seed + r) and the run with the lowest inertia wins (ties
-     * break towards the lowest r).  Each restart's stream is
-     * self-contained, so serial and pool-parallel execution produce
-     * bit-identical results.
+     * break towards the lowest r).
      */
     unsigned restarts = 1;
 };
@@ -59,24 +55,18 @@ struct KMeansParams
 /**
  * Run k-means with k-means++ initialisation on row-major points.
  * Empty clusters are re-seeded from the farthest point.  Iteration
- * stops early once assignments are stable.  When a pool is given and
- * params.restarts > 1, restarts run concurrently.
+ * stops early once assignments are stable.
  */
 KMeansResult kmeans(const std::vector<std::vector<double>>& points,
-                    const KMeansParams& params,
-                    ThreadPool* pool = nullptr);
+                    const KMeansParams& params);
 
 /**
  * Select a cluster count in [2, max_k] by maximising the mean silhouette
  * score, and return the corresponding clustering.  Falls back to k = 1
- * when there are fewer than two distinct points.  When a pool is given,
- * the candidate cluster counts are evaluated concurrently (the inner
- * kmeans runs stay serial); the selection is identical to the serial
- * scan.
+ * when there are fewer than two distinct points.
  */
 KMeansResult kmeansAuto(const std::vector<std::vector<double>>& points,
                         std::size_t max_k, std::uint64_t seed = 42,
-                        ThreadPool* pool = nullptr,
                         unsigned restarts = 1);
 
 /** Mean silhouette score of a clustering in [-1, 1]. */

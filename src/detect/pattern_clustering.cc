@@ -49,19 +49,18 @@ PatternClusteringAnalyzer::PatternClusteringAnalyzer(
 
 PatternClusteringResult
 PatternClusteringAnalyzer::analyze(
-        const std::vector<Histogram>& quanta, ThreadPool* pool) const
+        const std::vector<Histogram>& quanta) const
 {
     std::vector<const Histogram*> view;
     view.reserve(quanta.size());
     for (const Histogram& h : quanta)
         view.push_back(&h);
-    return analyze(view, pool);
+    return analyze(view);
 }
 
 PatternClusteringResult
 PatternClusteringAnalyzer::analyze(
-        const std::vector<const Histogram*>& quanta,
-        ThreadPool* pool) const
+        const std::vector<const Histogram*>& quanta) const
 {
     PatternClusteringResult out;
     if (quanta.empty())
@@ -131,8 +130,7 @@ PatternClusteringAnalyzer::analyze(
 
     // Step 2: aggregate similar strings with k-means.
     out.clustering = kmeansAuto(features, params_.maxClusters,
-                                params_.seed, pool,
-                                params_.kmeansRestarts);
+                                params_.seed, params_.kmeansRestarts);
     const std::size_t k = out.clustering.centroids.size();
     if (k == 0)
         return out;

@@ -126,13 +126,10 @@ class PatternClusteringAnalyzer
 
     /**
      * Analyse one window of per-quantum histograms.  Only the most
-     * recent windowQuanta histograms are considered.  A pool, when
-     * given, fans out the candidate cluster counts of the k-means
-     * search; the result is identical to the serial path.
+     * recent windowQuanta histograms are considered.
      */
     PatternClusteringResult analyze(
-        const std::vector<Histogram>& quanta,
-        ThreadPool* pool = nullptr) const;
+        const std::vector<Histogram>& quanta) const;
 
     /**
      * Pointer-view overload: analyse a window referenced in place.
@@ -141,8 +138,7 @@ class PatternClusteringAnalyzer
      * histograms each pass.
      */
     PatternClusteringResult analyze(
-        const std::vector<const Histogram*>& quanta,
-        ThreadPool* pool = nullptr) const;
+        const std::vector<const Histogram*>& quanta) const;
 
     const PatternClusteringParams& params() const { return params_; }
 

@@ -191,8 +191,8 @@ FleetAuditor::run()
     std::vector<std::unique_ptr<Queue>> queues;
     queues.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s)
-        queues.push_back(std::make_unique<Queue>(
-            params_.batchQueueCapacity, params_.batchQueueOverflow));
+        queues.push_back(
+            std::make_unique<Queue>(params_.batchQueueCapacity));
 
     // One collector per shard drains that shard's hand-off queue into
     // the (order-insensitive) aggregator and keeps shard-local tallies
@@ -540,7 +540,6 @@ FleetAuditor::run()
     report.degraded = aggregator.degraded();
     for (std::size_t s = 0; s < shards; ++s) {
         report.shards[s].batchesPushed = queues[s]->pushed();
-        report.shards[s].batchesDropped = queues[s]->dropped();
         report.shards[s].queueHighWater = queues[s]->highWaterMark();
         report.shards[s].batchedSeries = shardBatchedSeries[s];
         report.shards[s].restarts = progress[s].restarts.load();
@@ -585,9 +584,6 @@ FleetAuditReport::statEntries() const
         entries.push_back({prefix + "batches",
                            static_cast<double>(shard.batchesPushed),
                            "batches through the hand-off queue"});
-        entries.push_back({prefix + "dropped",
-                           static_cast<double>(shard.batchesDropped),
-                           "batches shed by DropOldest overflow"});
         entries.push_back({prefix + "queueHighWater",
                            static_cast<double>(shard.queueHighWater),
                            "deepest hand-off backlog"});

@@ -173,16 +173,9 @@ struct FleetAuditParams
      */
     std::size_t analysisThreads = 0;
 
-    /** Capacity of each shard's batch hand-off queue. */
+    /** Capacity of each shard's batch hand-off queue.  A full queue
+     *  blocks the shard worker, so no batch is ever lost. */
     std::size_t batchQueueCapacity = 4;
-
-    /**
-     * Full-queue behaviour for the batch hand-off.  Block (the
-     * default) preserves every batch and hence the determinism
-     * contract; DropOldest sheds under pressure and is counted per
-     * shard, at the cost of a timing-dependent incident stream.
-     */
-    OverflowPolicy batchQueueOverflow = OverflowPolicy::Block;
 
     /**
      * Batch each shard's end-of-run oscillation transforms: tenants
@@ -233,7 +226,6 @@ struct ShardStats
     std::size_t tenants = 0;         //!< tenants assigned by the plan
     std::uint64_t alarms = 0;        //!< raw alarms collected
     std::uint64_t batchesPushed = 0; //!< batches through the queue
-    std::uint64_t batchesDropped = 0; //!< batches shed (DropOldest)
     std::size_t queueHighWater = 0;  //!< deepest hand-off backlog
     std::uint64_t offlineDetected = 0; //!< end-of-run unit detections
     std::uint64_t batchedSeries = 0; //!< series through the batched FFT
@@ -303,8 +295,7 @@ class FleetAuditor
     /**
      * Audit the whole fleet and aggregate the result.  Deterministic
      * for a fixed registry: the incident stream (and its hash) is
-     * independent of shards, workerThreads and analysisThreads as long
-     * as the hand-off policy preserves every batch (Block).
+     * independent of shards, workerThreads and analysisThreads.
      */
     FleetAuditReport run();
 

@@ -18,9 +18,6 @@ putPipeline(ByteWriter& w, const PipelineStats& p)
     w.u64(p.drainedConflicts);
     w.u64(p.evictedQuanta);
     w.u64(p.evictedConflicts);
-    w.u64(p.batchesEnqueued);
-    w.u64(p.batchesDropped);
-    w.u64(p.queueDepthHighWater);
     w.u64(p.analysesRun);
     w.f64(p.latencyMinUs);
     w.f64(p.latencyMaxUs);
@@ -34,9 +31,6 @@ getPipeline(ByteReader& r, PipelineStats& p)
     p.drainedConflicts = r.u64();
     p.evictedQuanta = r.u64();
     p.evictedConflicts = r.u64();
-    p.batchesEnqueued = r.u64();
-    p.batchesDropped = r.u64();
-    p.queueDepthHighWater = static_cast<std::size_t>(r.u64());
     p.analysesRun = r.u64();
     p.latencyMinUs = r.f64();
     p.latencyMaxUs = r.f64();
@@ -434,7 +428,6 @@ registryFingerprint(const TenantRegistry& registry)
            << tenant.audit.online.analysisThreads << '\x1f'
            << tenant.audit.online.retentionQuanta << '\x1f'
            << tenant.audit.online.autocorrEveryQuantum << '\x1f'
-           << tenant.audit.online.asyncAnalysis << '\x1f'
            << scenarioConfig(tenant.audit.scenario).dump();
         hash = fnv1a64(os.str(), hash);
     }

@@ -90,9 +90,9 @@ persistStatEntries(const PersistStats& stats,
     add("defects.badChecksum",
         static_cast<double>(stats.defects.badChecksum),
         "records failing their FNV-1a checksum");
-    add("defects.futureVersion",
-        static_cast<double>(stats.defects.futureVersion),
-        "files from a newer format version");
+    add("defects.unknownVersion",
+        static_cast<double>(stats.defects.unknownVersion),
+        "files from an older or newer format version");
     add("defects.truncatedTail",
         static_cast<double>(stats.defects.truncatedTail),
         "files ending inside a record frame");

@@ -7,7 +7,7 @@
  * the last atomic snapshot plus the journal's intact prefix — back
  * into the set of completed tenant batches.  Recovery never throws
  * and never trusts bytes: every defect (wrong magic, bad checksum,
- * future version, torn tail, unreadable file, fingerprint from a
+ * unknown version, torn tail, unreadable file, fingerprint from a
  * different fleet) is counted under the persistence quarantine
  * taxonomy and degrades the restore toward a cold start, the worst
  * case being "re-audit everything", never "crash" or "wrong answer".

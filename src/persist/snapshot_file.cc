@@ -17,8 +17,8 @@ snapshotDefectName(SnapshotDefect defect)
         return "badMagic";
     case SnapshotDefect::BadChecksum:
         return "badChecksum";
-    case SnapshotDefect::FutureVersion:
-        return "futureVersion";
+    case SnapshotDefect::UnknownVersion:
+        return "unknownVersion";
     case SnapshotDefect::TruncatedTail:
         return "truncatedTail";
     case SnapshotDefect::Unreadable:
@@ -39,8 +39,8 @@ DefectCounts::count(SnapshotDefect defect)
     case SnapshotDefect::BadChecksum:
         ++badChecksum;
         break;
-    case SnapshotDefect::FutureVersion:
-        ++futureVersion;
+    case SnapshotDefect::UnknownVersion:
+        ++unknownVersion;
         break;
     case SnapshotDefect::TruncatedTail:
         ++truncatedTail;
@@ -54,7 +54,7 @@ DefectCounts::count(SnapshotDefect defect)
 std::uint64_t
 DefectCounts::total() const
 {
-    return badMagic + badChecksum + futureVersion + truncatedTail +
+    return badMagic + badChecksum + unknownVersion + truncatedTail +
            unreadable;
 }
 
@@ -63,7 +63,7 @@ DefectCounts::accumulate(const DefectCounts& other)
 {
     badMagic += other.badMagic;
     badChecksum += other.badChecksum;
-    futureVersion += other.futureVersion;
+    unknownVersion += other.unknownVersion;
     truncatedTail += other.truncatedTail;
     unreadable += other.unreadable;
 }
@@ -98,17 +98,17 @@ decodeRecordFile(const std::vector<std::uint8_t>& bytes, ReadMode mode)
     RecordFileContents out;
     ByteReader reader(bytes);
 
-    // Header first: a wrong magic means "not ours at all" and a
-    // future version means "ours, but we cannot be sure of the
-    // layout" — both reject the whole file in either mode.
+    // Header first: a wrong magic means "not ours at all" and any
+    // other version means "ours, but not this layout" — both reject
+    // the whole file in either mode.
     const std::uint64_t magic = reader.u64();
     const std::uint32_t version = reader.u32();
     if (reader.bad() || magic != kSnapshotMagic) {
         out.defect = SnapshotDefect::BadMagic;
         return out;
     }
-    if (version > kSnapshotVersion) {
-        out.defect = SnapshotDefect::FutureVersion;
+    if (version != kSnapshotVersion) {
+        out.defect = SnapshotDefect::UnknownVersion;
         return out;
     }
 

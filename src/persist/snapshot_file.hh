@@ -9,8 +9,8 @@
  *     [u64 magic][u32 version]
  *     [u32 length][u64 fnv1a64(payload)][payload bytes]  x N
  *
- * Reading is defensive by construction: a wrong magic, a version from
- * the future, a checksum mismatch or a record cut short by a torn
+ * Reading is defensive by construction: a wrong magic, any version but
+ * the current one, a checksum mismatch or a record cut short by a torn
  * write is *detected and counted*, never a crash and never a silent
  * misparse.  Snapshot semantics reject the whole file on any defect
  * (an inconsistent checkpoint is worthless); journal semantics keep
@@ -33,8 +33,9 @@ namespace cchunter::persist
 /** First eight bytes of every persisted file ("cchsnap!" LE). */
 constexpr std::uint64_t kSnapshotMagic = 0x2170616e73686363ull;
 
-/** Current format version; readers accept <= this. */
-constexpr std::uint32_t kSnapshotVersion = 1;
+/** Current format version.  Readers refuse every other version: no
+ *  older layout is decodable by this reader. */
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 /** Why a persisted file (or its tail) was refused. */
 enum class SnapshotDefect : std::uint8_t
@@ -42,7 +43,7 @@ enum class SnapshotDefect : std::uint8_t
     None,
     BadMagic,      //!< header is not a snapshot at all
     BadChecksum,   //!< a record's payload does not match its FNV-1a
-    FutureVersion, //!< written by a newer format than this reader
+    UnknownVersion, //!< written by an older or newer format
     TruncatedTail, //!< a record frame runs past the end of the file
     Unreadable,    //!< the file is absent or the OS refused the read
 };
@@ -55,7 +56,7 @@ struct DefectCounts
 {
     std::uint64_t badMagic = 0;
     std::uint64_t badChecksum = 0;
-    std::uint64_t futureVersion = 0;
+    std::uint64_t unknownVersion = 0;
     std::uint64_t truncatedTail = 0;
     std::uint64_t unreadable = 0;
 

@@ -289,11 +289,6 @@ AuditRun::AuditRun(const OnlineAuditOptions& options)
         online_.clusteringIntervalQuanta > opts.quanta)
         online_.clusteringIntervalQuanta = opts.quanta;
     online_.hunter = opts.thresholds.apply(online_.hunter);
-    // Detection-triggered response needs the alarm stream current at
-    // each boundary: force the synchronous analysis path so the
-    // engagement quantum is deterministic.
-    if (options_.autoRespond.enabled)
-        online_.asyncAnalysis = false;
     daemon_->enableOnlineAnalysis(online_);
 
     // Closed loop: engage the configured plan at the first quantum

@@ -295,8 +295,8 @@ struct ResponseEngagement
  * Result of one live-audited run: the online alarm stream (each alarm
  * carrying its channel signature and confidence) plus the pipeline and
  * degradation ledgers.  For a fixed option set this is deterministic —
- * including across analysisThreads values and the async hand-off under
- * Block — which is what lets the fleet auditor shard tenants freely.
+ * including across analysisThreads values — which is what lets the
+ * fleet auditor shard tenants freely.
  */
 struct OnlineAuditResult
 {

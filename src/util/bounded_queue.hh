@@ -2,12 +2,11 @@
  * @file
  * A bounded multi-producer/consumer hand-off queue.
  *
- * Decouples the simulation loop from the analysis engine: the daemon
- * enqueues per-quantum analysis batches and a consumer thread drains
- * them.  When the queue is full the producer either blocks
- * (backpressure: the simulation waits for the analyses to catch up) or
- * drops the *oldest* queued item, counting the loss, so the freshest
- * observations always get through.
+ * Decouples producers from a consumer thread: the fleet's shard
+ * workers enqueue tenant alarm batches and a per-shard collector
+ * drains them (the fleet's watchdog also waits on one with popFor).
+ * When the queue is full the producer blocks (backpressure: it waits
+ * for the consumer to catch up), so no item is ever lost.
  */
 
 #ifndef CCHUNTER_UTIL_BOUNDED_QUEUE_HH
@@ -28,79 +27,41 @@
 namespace cchunter
 {
 
-/** What a full queue does to a new push. */
-enum class OverflowPolicy
-{
-    Block,     //!< producer waits for space (backpressure)
-    DropOldest //!< evict the oldest queued item, count the drop
-};
-
 /**
- * Result of one push.  The rejected/accepted distinction is explicit
- * so a producer racing close() gets a definite answer — a rejected
- * item was NOT enqueued and its side-effects (completion accounting,
- * retries) are the producer's to handle.
- */
-template <typename T>
-struct PushOutcome
-{
-    /** False when the queue was closed and the item discarded. */
-    bool accepted = false;
-
-    /** The oldest item evicted to make room (DropOldest only). */
-    std::optional<T> displaced;
-};
-
-/**
- * Fixed-capacity FIFO queue with blocking pop and configurable
- * overflow behaviour.  close() wakes all waiters; pushes after (or
- * racing) close() return a definite rejection and never block, and
- * pops drain the remaining items before returning nullopt.
+ * Fixed-capacity FIFO queue with blocking push and pop.  close() wakes
+ * all waiters; pushes after (or racing) close() return a definite
+ * rejection and never block, and pops drain the remaining items
+ * before returning nullopt.
  */
 template <typename T>
 class BoundedQueue
 {
   public:
-    explicit BoundedQueue(std::size_t capacity,
-                          OverflowPolicy policy = OverflowPolicy::Block)
-        : cap_(capacity), policy_(policy)
+    explicit BoundedQueue(std::size_t capacity) : cap_(capacity)
     {
         if (cap_ == 0)
             fatal("BoundedQueue requires capacity >= 1");
     }
 
     /**
-     * Enqueue an item.  Under Block, waits for space — but a close()
-     * arriving while the producer waits (or before it) wakes the wait
-     * and yields a definite rejection (`accepted == false`) rather
-     * than blocking forever or silently dropping.  Under DropOldest,
-     * a full queue evicts its oldest item and returns it in
-     * `displaced` so the caller can account for the loss.
+     * Enqueue an item, waiting for space.  A close() arriving while
+     * the producer waits (or before it) wakes the wait and yields a
+     * definite rejection: false means the item was NOT enqueued, and
+     * its side-effects are the producer's to handle.
      */
-    PushOutcome<T>
+    bool
     push(T item)
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        PushOutcome<T> outcome;
+        notFull_.wait(lock,
+                      [this] { return queue_.size() < cap_ || closed_; });
         if (closed_)
-            return outcome;
-        if (policy_ == OverflowPolicy::Block) {
-            notFull_.wait(lock, [this] {
-                return queue_.size() < cap_ || closed_;
-            });
-            if (closed_)
-                return outcome;
-        } else if (queue_.size() >= cap_) {
-            outcome.displaced = std::move(queue_.front());
-            queue_.pop_front();
-            ++dropped_;
-        }
+            return false;
         queue_.push_back(std::move(item));
         ++pushed_;
-        outcome.accepted = true;
         highWater_ = std::max(highWater_, queue_.size());
         notEmpty_.notify_one();
-        return outcome;
+        return true;
     }
 
     /**
@@ -201,17 +162,8 @@ class BoundedQueue
         return pushed_;
     }
 
-    /** Items displaced by DropOldest overflow. */
-    std::uint64_t
-    dropped() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return dropped_;
-    }
-
   private:
     const std::size_t cap_;
-    const OverflowPolicy policy_;
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;
     std::condition_variable notFull_;
@@ -219,7 +171,6 @@ class BoundedQueue
     bool closed_ = false;
     std::size_t highWater_ = 0;
     std::uint64_t pushed_ = 0;
-    std::uint64_t dropped_ = 0;
 };
 
 } // namespace cchunter

@@ -218,19 +218,6 @@ expectMatchesRecompute(const AuditDaemon& daemon, unsigned slot,
         << "slot " << slot;
 }
 
-void
-expectSameAlarms(const std::vector<Alarm>& actual,
-                 const std::vector<Alarm>& expected)
-{
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(actual[i].slot, expected[i].slot);
-        EXPECT_EQ(actual[i].when, expected[i].when);
-        EXPECT_EQ(actual[i].quantum, expected[i].quantum);
-        EXPECT_EQ(actual[i].summary, expected[i].summary);
-    }
-}
-
 TEST(OnlineAnalysisTest, ParallelFanOutMatchesSerialAlarms)
 {
     // The fan-out across monitored units must leave the alarm stream
@@ -275,44 +262,6 @@ TEST(OnlineAnalysisTest, StreamingMatchesLegacyRecomputeAlarms)
 
     EXPECT_EQ(passes, 2u);
     ASSERT_FALSE(daemon.alarms().empty());
-}
-
-TEST(OnlineAnalysisTest, AsyncBlockMatchesInlineAlarms)
-{
-    // With backpressure (no drops) the consumer-thread path must
-    // produce the exact inline alarm stream.
-    OnlineAnalysisParams params;
-    params.clusteringIntervalQuanta = 4;
-    const auto inline_run = runDividerOutcome(params);
-
-    params.asyncAnalysis = true;
-    params.queueCapacity = 2;
-    params.queueOverflow = OverflowPolicy::Block;
-    const auto async_run = runDividerOutcome(params);
-
-    ASSERT_FALSE(inline_run.alarms.empty());
-    expectSameAlarms(async_run.alarms, inline_run.alarms);
-    // Contention-only slots batch once per clustering interval: 8
-    // quanta at interval 4 is two hand-offs, none dropped.
-    EXPECT_EQ(async_run.pipeline.batchesDropped, 0u);
-    EXPECT_EQ(async_run.pipeline.batchesEnqueued, 2u);
-    EXPECT_GE(async_run.pipeline.queueDepthHighWater, 1u);
-}
-
-TEST(OnlineAnalysisTest, AsyncAccountsForEveryBatch)
-{
-    // Whatever the overflow policy sheds, the books must balance:
-    // every enqueued batch is either analysed or counted as dropped.
-    OnlineAnalysisParams params;
-    params.clusteringIntervalQuanta = 4;
-    params.asyncAnalysis = true;
-    params.queueCapacity = 1;
-    params.queueOverflow = OverflowPolicy::DropOldest;
-    const auto outcome = runDividerOutcome(params);
-
-    EXPECT_EQ(outcome.pipeline.analysesRun +
-                  outcome.pipeline.batchesDropped,
-              outcome.pipeline.batchesEnqueued);
 }
 
 TEST(OnlineAnalysisTest, PipelineStatsCountDrains)

@@ -5,7 +5,6 @@
 #include "detect/kmeans.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
-#include "util/thread_pool.hh"
 
 namespace cchunter
 {
@@ -169,36 +168,6 @@ TEST(KMeansTest, SingleRestartUnchangedByRestartsField)
     const auto b = kmeans(pts, q);
     EXPECT_EQ(a.assignments, b.assignments);
     EXPECT_DOUBLE_EQ(a.inertia, b.inertia);
-}
-
-TEST(KMeansTest, ParallelRestartsBitIdenticalToSerial)
-{
-    auto pts = twoBlobs(80, 3.0, 11);
-    KMeansParams p;
-    p.k = 5;
-    p.seed = 33;
-    p.restarts = 8;
-    const auto serial = kmeans(pts, p);
-    ThreadPool pool(4);
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto parallel = kmeans(pts, p, &pool);
-        EXPECT_EQ(parallel.assignments, serial.assignments);
-        EXPECT_EQ(parallel.centroids, serial.centroids);
-        EXPECT_EQ(parallel.clusterSizes, serial.clusterSizes);
-        EXPECT_DOUBLE_EQ(parallel.inertia, serial.inertia);
-        EXPECT_EQ(parallel.iterations, serial.iterations);
-    }
-}
-
-TEST(KMeansAutoTest, ParallelSearchBitIdenticalToSerial)
-{
-    auto pts = twoBlobs(40, 8.0, 12);
-    const auto serial = kmeansAuto(pts, 6, 17);
-    ThreadPool pool(4);
-    const auto parallel = kmeansAuto(pts, 6, 17, &pool);
-    EXPECT_EQ(parallel.assignments, serial.assignments);
-    EXPECT_EQ(parallel.centroids, serial.centroids);
-    EXPECT_DOUBLE_EQ(parallel.inertia, serial.inertia);
 }
 
 TEST(SilhouetteTest, WellSeparatedBlobsScoreHigh)

@@ -56,7 +56,7 @@ struct RunOutcome
 
 RunOutcome
 runDividerAudit(const std::optional<FaultPlan>& plan,
-                std::size_t quanta = 8, bool async = false)
+                std::size_t quanta = 8)
 {
     Machine m(smallMachine());
     Rng rng(1);
@@ -81,11 +81,6 @@ runDividerAudit(const std::optional<FaultPlan>& plan,
 
     OnlineAnalysisParams params;
     params.clusteringIntervalQuanta = 4;
-    if (async) {
-        params.asyncAnalysis = true;
-        params.queueCapacity = 2;
-        params.queueOverflow = OverflowPolicy::Block;
-    }
     daemon.enableOnlineAnalysis(params);
 
     m.runQuanta(quanta);
@@ -193,23 +188,6 @@ TEST(DegradedPipelineTest, QuarantineAccountsForEveryCorruptedBatch)
                   r.degraded.quarantineSlotRange);
     // Quarantined batches produce no alarms (all analyses refused).
     EXPECT_TRUE(r.alarms.empty());
-}
-
-TEST(DegradedPipelineTest, AsyncQuarantineMatchesInline)
-{
-    FaultPlan plan;
-    plan.seed = 17;
-    plan.corruptBatchRate = 1.0;
-    const RunOutcome inline_run = runDividerAudit(plan);
-    const RunOutcome async_run =
-        runDividerAudit(plan, /*quanta=*/8, /*async=*/true);
-    EXPECT_EQ(async_run.degraded.quarantinedBatches,
-              inline_run.degraded.quarantinedBatches);
-    EXPECT_EQ(async_run.degraded.quarantineBadLabel,
-              inline_run.degraded.quarantineBadLabel);
-    EXPECT_EQ(async_run.degraded.quarantineBinMismatch,
-              inline_run.degraded.quarantineBinMismatch);
-    EXPECT_TRUE(async_run.alarms.empty());
 }
 
 TEST(DegradedPipelineTest, DroppedQuantaReduceCoverage)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Snapshot-format (v1) tests: payload round-trips for tenant batches,
+ * Snapshot-format (v2) tests: payload round-trips for tenant batches,
  * incident stores and meta records; whole-checkpoint encode/decode;
  * structural-inconsistency rejection; future-version rejection; the
  * registry fingerprint contract; and a golden byte fixture pinning the
- * v1 wire format so an accidental layout change cannot slip through.
+ * v2 wire format so an accidental layout change cannot slip through.
  */
 
 #include <gtest/gtest.h>
@@ -51,9 +51,6 @@ makeBatch(TenantId tenant)
     batch.pipeline.drainedConflicts = 12;
     batch.pipeline.evictedQuanta = 1;
     batch.pipeline.evictedConflicts = 2;
-    batch.pipeline.batchesEnqueued = 16;
-    batch.pipeline.batchesDropped = 1;
-    batch.pipeline.queueDepthHighWater = 4;
     batch.pipeline.analysesRun = 15;
     batch.pipeline.latencyMinUs = 1.5;
     batch.pipeline.latencyMaxUs = 99.25;
@@ -306,7 +303,7 @@ TEST(FleetSnapshotTest, FutureVersionSnapshotIsRejectedWholesale)
     bytes[8] = static_cast<std::uint8_t>(kSnapshotVersion + 1);
     const RecordFileContents contents =
         decodeRecordFile(bytes, ReadMode::Snapshot);
-    EXPECT_EQ(contents.defect, SnapshotDefect::FutureVersion);
+    EXPECT_EQ(contents.defect, SnapshotDefect::UnknownVersion);
     EXPECT_TRUE(contents.records.empty());
 }
 
@@ -337,16 +334,16 @@ TEST(FleetSnapshotTest, RegistryFingerprintIsStableAndSensitive)
                      TenantRegistry::synthetic(otherCadence)));
 }
 
-TEST(FleetSnapshotTest, GoldenV1HeaderBytesArePinned)
+TEST(FleetSnapshotTest, GoldenV2HeaderBytesArePinned)
 {
-    // The first 12 bytes of every v1 file: magic "cchsnap!" (stored
-    // little-endian) then version 1.  Changing either is a format
+    // The first 12 bytes of every v2 file: magic "cchsnap!" (stored
+    // little-endian) then version 2.  Changing either is a format
     // break and must be a conscious version bump, not an accident.
     const std::vector<std::uint8_t> bytes =
         encodeFleetCheckpoint(FleetCheckpoint{});
     ASSERT_GE(bytes.size(), 12u);
     const std::uint8_t golden[12] = {0x63, 0x63, 0x68, 0x73, 0x6e,
-                                     0x61, 0x70, 0x21, 0x01, 0x00,
+                                     0x61, 0x70, 0x21, 0x02, 0x00,
                                      0x00, 0x00};
     for (std::size_t i = 0; i < 12; ++i)
         EXPECT_EQ(bytes[i], golden[i]) << "offset " << i;
@@ -357,7 +354,7 @@ TEST(FleetSnapshotTest, GoldenV1CheckpointBytesAreStable)
     // Full-image determinism: encoding the same logical checkpoint
     // twice (fresh objects both times) must produce identical bytes,
     // and the FNV of those bytes pins the record layout — if this
-    // hash moves, the v1 wire format changed.
+    // hash moves, the v2 wire format changed.
     FleetCheckpoint checkpoint;
     checkpoint.registryFingerprint = 0x1234567890ABCDEFull;
     checkpoint.finalized = false;
@@ -372,4 +369,5 @@ TEST(FleetSnapshotTest, GoldenV1CheckpointBytesAreStable)
     const std::vector<std::uint8_t> second =
         encodeFleetCheckpoint(again);
     EXPECT_EQ(first, second);
+    EXPECT_EQ(fnv1a64(first.data(), first.size()), 0x9554ca086cd03a97ull);
 }

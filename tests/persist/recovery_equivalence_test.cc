@@ -104,6 +104,38 @@ class RecoveryEquivalenceTest : public testing::Test
     std::filesystem::path dir_;
 };
 
+/**
+ * Rewrite a persisted file in the version-1 layout, in which every
+ * tenant batch carried three more u64 pipeline counters right after
+ * evictedConflicts.  Returns the number of batch records rewritten.
+ */
+std::size_t
+rewriteAsVersion1(const std::string& path, ReadMode mode)
+{
+    const RecordFileContents contents = readRecordFile(path, mode);
+    EXPECT_TRUE(contents.clean()) << path;
+    // Kind byte, u32 tenant, three u64s (shard, quanta, offline
+    // detections), then the four drain/evict counters.
+    constexpr std::size_t kAfterEvictedConflicts = 1 + 4 + 3 * 8 + 4 * 8;
+    ByteWriter header;
+    header.u64(kSnapshotMagic);
+    header.u32(1);
+    std::vector<std::uint8_t> bytes = header.take();
+    std::size_t batches = 0;
+    for (std::vector<std::uint8_t> payload : contents.records) {
+        if (!payload.empty() &&
+            payload.front() ==
+                static_cast<std::uint8_t>(RecordKind::TenantBatch)) {
+            payload.insert(payload.begin() + kAfterEvictedConflicts,
+                           3 * 8, 0);
+            ++batches;
+        }
+        appendFramedRecord(bytes, payload);
+    }
+    EXPECT_TRUE(writeFileAtomic(path, bytes));
+    return batches;
+}
+
 bool
 hasStat(const std::vector<StatEntry>& entries, const std::string& name)
 {
@@ -361,7 +393,32 @@ TEST_F(RecoveryEquivalenceTest, FutureVersionSnapshotColdStartsThatFile)
     ASSERT_TRUE(writeFileAtomic(snap, bytes));
 
     const FleetAuditReport resumed = resumeRun(2);
-    EXPECT_EQ(resumed.persist.defects.futureVersion, 1u);
+    EXPECT_EQ(resumed.persist.defects.unknownVersion, 1u);
+    EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
+}
+
+TEST_F(RecoveryEquivalenceTest, ParentLayoutFilesAreRefusedAsVersionSkew)
+{
+    // A checkpoint and a journal in the version-1 layout, stamped with
+    // this fleet's own fingerprint: both are refused under the version
+    // defect, nothing is restored, and the resume re-audits the whole
+    // fleet to the same stream.
+    ASSERT_TRUE(crashRun(2, 5).crashed);
+    const PersistPolicy policy{.dir = dir_.string()};
+    // Checkpoint after batch 3; batches 4 and 5 in the journal.
+    EXPECT_EQ(rewriteAsVersion1(snapshotPath(policy), ReadMode::Snapshot),
+              3u);
+    EXPECT_EQ(rewriteAsVersion1(journalPath(policy), ReadMode::Journal),
+              2u);
+
+    const FleetAuditReport resumed = resumeRun(2);
+    EXPECT_FALSE(resumed.crashed);
+    EXPECT_EQ(resumed.persist.defects.unknownVersion, 2u);
+    EXPECT_EQ(resumed.persist.defects.total(), 2u);
+    EXPECT_EQ(resumed.persist.registryMismatches, 0u);
+    EXPECT_EQ(resumed.persist.restoredTenants, 0u);
+    EXPECT_EQ(resumed.persist.coldStarts, 1u);
+    EXPECT_EQ(resumed.tenantsAudited, kFleetTenants);
     EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
 }
 

@@ -141,15 +141,21 @@ TEST(SnapshotCodecTest, WrongMagicRejectsInBothModes)
 
 TEST(SnapshotCodecTest, FutureVersionRejectsInBothModes)
 {
-    ByteWriter header;
-    header.u64(kSnapshotMagic);
-    header.u32(kSnapshotVersion + 1);
-    std::vector<std::uint8_t> bytes = header.take();
-    appendFramedRecord(bytes, payloadOf("from the future"));
-    for (const ReadMode mode : {ReadMode::Snapshot, ReadMode::Journal}) {
-        const RecordFileContents out = decodeRecordFile(bytes, mode);
-        EXPECT_EQ(out.defect, SnapshotDefect::FutureVersion);
-        EXPECT_TRUE(out.records.empty());
+    // An older layout is as undecodable as a newer one.
+    for (const std::uint32_t version :
+         {kSnapshotVersion + 1, kSnapshotVersion - 1}) {
+        ByteWriter header;
+        header.u64(kSnapshotMagic);
+        header.u32(version);
+        std::vector<std::uint8_t> bytes = header.take();
+        appendFramedRecord(bytes, payloadOf("another layout"));
+        for (const ReadMode mode :
+             {ReadMode::Snapshot, ReadMode::Journal}) {
+            const RecordFileContents out = decodeRecordFile(bytes, mode);
+            EXPECT_EQ(out.defect, SnapshotDefect::UnknownVersion)
+                << "version " << version;
+            EXPECT_TRUE(out.records.empty());
+        }
     }
 }
 
@@ -253,13 +259,13 @@ TEST(SnapshotCodecTest, DefectCountsAccountEveryReason)
     counts.count(SnapshotDefect::BadMagic);
     counts.count(SnapshotDefect::BadChecksum);
     counts.count(SnapshotDefect::BadChecksum);
-    counts.count(SnapshotDefect::FutureVersion);
+    counts.count(SnapshotDefect::UnknownVersion);
     counts.count(SnapshotDefect::TruncatedTail);
     counts.count(SnapshotDefect::Unreadable);
     counts.count(SnapshotDefect::None); // not a defect, not counted
     EXPECT_EQ(counts.badMagic, 1u);
     EXPECT_EQ(counts.badChecksum, 2u);
-    EXPECT_EQ(counts.futureVersion, 1u);
+    EXPECT_EQ(counts.unknownVersion, 1u);
     EXPECT_EQ(counts.truncatedTail, 1u);
     EXPECT_EQ(counts.unreadable, 1u);
     EXPECT_EQ(counts.total(), 6u);
@@ -278,8 +284,8 @@ TEST(SnapshotCodecTest, DefectNamesAreStable)
                  "badMagic");
     EXPECT_STREQ(snapshotDefectName(SnapshotDefect::BadChecksum),
                  "badChecksum");
-    EXPECT_STREQ(snapshotDefectName(SnapshotDefect::FutureVersion),
-                 "futureVersion");
+    EXPECT_STREQ(snapshotDefectName(SnapshotDefect::UnknownVersion),
+                 "unknownVersion");
     EXPECT_STREQ(snapshotDefectName(SnapshotDefect::TruncatedTail),
                  "truncatedTail");
     EXPECT_STREQ(snapshotDefectName(SnapshotDefect::Unreadable),
