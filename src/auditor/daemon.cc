@@ -43,12 +43,6 @@ PipelineStats::summary() const
        << drainedConflicts << " conflicts, evicted " << evictedQuanta
        << " quanta / " << evictedConflicts << " conflicts, analyses "
        << analysesRun;
-    if (analysesRun != 0) {
-        os.precision(1);
-        os << std::fixed << ", latency us min/mean/max "
-           << latencyMinUs << '/' << latencyMeanUs() << '/'
-           << latencyMaxUs;
-    }
     return os.str();
 }
 
@@ -435,8 +429,7 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
         sv.slot = s;
         sv.hasContention =
             auditor_.histogramBuffer(s) != nullptr && clusteringDue;
-        sv.hasOscillation = auditor_.vectorRegisters(s) != nullptr &&
-                            onlineParams_.autocorrEveryQuantum;
+        sv.hasOscillation = auditor_.vectorRegisters(s) != nullptr;
         if (!sv.hasContention && !sv.hasOscillation)
             continue;
         batch.work.push_back(std::move(sv));

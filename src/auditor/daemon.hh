@@ -61,15 +61,16 @@ struct DaemonRetention
     std::size_t conflictRecords = std::size_t{1} << 20;
 };
 
-/** Online analysis cadence (paper section V-B). */
+/**
+ * Online analysis cadence (paper section V-B).  Autocorrelation runs
+ * at the end of every OS time quantum; clustering on the interval
+ * below.
+ */
 struct OnlineAnalysisParams
 {
     /** Pattern clustering runs once per this many quanta (the paper's
      *  51.2 s at a 0.1 s quantum). */
     std::size_t clusteringIntervalQuanta = 512;
-
-    /** Autocorrelation runs at the end of every OS time quantum. */
-    bool autocorrEveryQuantum = true;
 
     /**
      * Worker threads for the per-quantum analysis fan-out.  1 keeps
@@ -108,7 +109,9 @@ struct PipelineStats
     /** Fold another stats block in (counter sums, min/max combines). */
     void accumulate(const PipelineStats& other);
 
-    /** Human-readable one-line pipeline health summary. */
+    /** Human-readable one-line pipeline health summary: the simulated
+     *  counts only, so two runs of one scenario print the same line
+     *  (the wall-clock latencies reach pipelineStatEntries). */
     std::string summary() const;
 };
 

@@ -179,20 +179,4 @@ AlarmAggregator::finalize(IncidentStore& store)
     alarmsByTenant_.clear();
 }
 
-std::vector<StatEntry>
-AlarmAggregator::statEntries(const std::string& prefix) const
-{
-    std::vector<StatEntry> entries;
-    entries.push_back({prefix + "batches",
-                       static_cast<double>(batches_),
-                       "tenant alarm batches ingested"});
-    entries.push_back({prefix + "alarms",
-                       static_cast<double>(alarmsSeen_),
-                       "raw alarms across all batches"});
-    entries.push_back({prefix + "filtered",
-                       static_cast<double>(alarmsFiltered_),
-                       "alarms below the confidence floor"});
-    return entries;
-}
-
 } // namespace cchunter

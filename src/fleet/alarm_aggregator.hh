@@ -105,10 +105,6 @@ class AlarmAggregator
     /** Degradation ledger accumulated across every ingested batch. */
     const DegradedStats& degraded() const { return degraded_; }
 
-    /** Aggregator counters as stat entries under `prefix`. */
-    std::vector<StatEntry> statEntries(
-        const std::string& prefix = "fleet.aggregator.") const;
-
   private:
     double scoreOf(double mean_confidence,
                    std::uint64_t occurrences) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,6 +10,7 @@
 
 #include "scenario/experiment.hh"
 #include "units/unit_registry.hh"
+#include "util/bounded_queue.hh"
 #include "util/thread_pool.hh"
 
 namespace cchunter
@@ -19,24 +19,9 @@ namespace cchunter
 namespace
 {
 
-std::int64_t
-steadyNowNs()
-{
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/** Live supervision state of one shard (heartbeats + claim summary). */
-struct ShardProgress
-{
-    std::atomic<bool> started{false}; //!< a worker reached this shard
-    std::atomic<bool> active{false};  //!< a worker is running it now
-    std::atomic<bool> died{false};    //!< simulated worker death fired
-    std::atomic<std::int64_t> lastBeatNs{0};
-    std::atomic<std::uint64_t> restarts{0};
-    std::atomic<bool> abandoned{false}; //!< restart budget exhausted
-};
+/** Capacity of each shard's batch hand-off queue.  A full queue
+ *  blocks the shard worker, so no batch is ever lost. */
+constexpr std::size_t kBatchQueueCapacity = 4;
 
 } // namespace
 
@@ -79,21 +64,14 @@ FleetAuditor::run()
     const std::uint64_t crashAfter =
         persistOn ? params_.simulateCrashAfterBatches : 0;
 
-    const bool stallSim = params_.watchdog.simulateStallShard !=
-                          WatchdogParams::kNoStall;
-    // A simulated worker death would strand its staged batches, so
-    // stall runs take the unstaged path (stream-identical either way).
-    const bool batchedFft = params_.batchedFft && !stallSim;
-
     AlarmAggregator aggregator(params_.aggregator);
 
-    // Per-tenant claim flags: exchange(true) is the single admission
-    // point to auditing a tenant, so recovery pre-claims and watchdog
-    // redispatch can never double-audit.  (C++20 value-initializes
-    // the atomics to false.)
-    std::vector<std::deque<std::atomic<bool>>> claimed(shards);
+    // Plan slots whose batch was restored from disk.  Set on this
+    // thread before the pool starts; only the one shard worker that
+    // runs shard s reads restored[s], and it skips those tenants.
+    std::vector<std::vector<bool>> restored(shards);
     for (std::size_t s = 0; s < shards; ++s)
-        claimed[s].resize(plan[s].size());
+        restored[s].resize(plan[s].size(), false);
 
     const auto planIndexOf = [&](TenantId id, std::size_t& s,
                                  std::size_t& i) {
@@ -165,7 +143,7 @@ FleetAuditor::run()
             --report.persist.restoredTenants;
             continue;
         }
-        claimed[s][i].store(true);
+        restored[s][i] = true;
         batch.shard = s; // re-home under the current shard layout
         report.shards[s].alarms += batch.alarms.size();
         report.shards[s].offlineDetected += batch.offlineDetectedUnits;
@@ -191,8 +169,7 @@ FleetAuditor::run()
     std::vector<std::unique_ptr<Queue>> queues;
     queues.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s)
-        queues.push_back(
-            std::make_unique<Queue>(params_.batchQueueCapacity));
+        queues.push_back(std::make_unique<Queue>(kBatchQueueCapacity));
 
     // One collector per shard drains that shard's hand-off queue into
     // the (order-insensitive) aggregator and keeps shard-local tallies
@@ -260,16 +237,8 @@ FleetAuditor::run()
     };
 
     std::vector<std::uint64_t> shardBatchedSeries(shards, 0);
-    std::deque<ShardProgress> progress(shards);
 
-    // The shard worker body; `redispatch` marks watchdog re-entry
-    // (immune to the simulated death, claims only leftover tenants).
-    const auto runShard = [&](std::size_t s, bool redispatch) {
-        ShardProgress& prog = progress[s];
-        prog.started.store(true);
-        prog.active.store(true);
-        prog.lastBeatNs.store(steadyNowNs());
-
+    const auto runShard = [&](std::size_t s) {
         const auto detectedOf =
             [](const std::vector<UnitOutcome>& verdicts) {
                 std::uint64_t detected = 0;
@@ -278,9 +247,6 @@ FleetAuditor::run()
                 return detected;
             };
 
-        const bool simulateDeath =
-            !redispatch && params_.watchdog.simulateStallShard == s;
-
         // With batching on, tenants defer their end-of-run cache
         // transforms; the shard resolves all of them in one planned
         // FFT pass after its last tenant, then hands the staged
@@ -288,32 +254,22 @@ FleetAuditor::run()
         // either way.
         std::vector<TenantAlarmBatch> staged;
         std::vector<std::vector<UnitOutcome>> stagedVerdicts;
-        if (batchedFft) {
+        if (params_.batchedFft) {
             staged.reserve(plan[s].size());
             stagedVerdicts.reserve(plan[s].size());
         }
 
-        std::size_t processed = 0;
         for (std::size_t i = 0; i < plan[s].size(); ++i) {
             if (crashed.load(std::memory_order_acquire))
                 break;
-            if (simulateDeath &&
-                processed >=
-                    params_.watchdog.simulateStallAfterTenants) {
-                // The worker "dies": unclaimed tenants stay
-                // unclaimed for the watchdog to pick up.
-                prog.died.store(true);
-                prog.active.store(false);
-                return;
-            }
-            if (claimed[s][i].exchange(true))
-                continue; // recovered or another worker's claim
+            if (restored[s][i])
+                continue;
             const TenantId id = plan[s][i];
             OnlineAuditOptions options = registry_.at(id).audit;
             if (params_.analysisThreads != 0)
                 options.online.analysisThreads =
                     params_.analysisThreads;
-            options.deferOscillationVerdicts = batchedFft;
+            options.deferOscillationVerdicts = params_.batchedFft;
             OnlineAuditResult result = runOnlineAudit(options);
             TenantAlarmBatch batch;
             batch.tenant = id;
@@ -322,7 +278,7 @@ FleetAuditor::run()
             batch.pipeline = result.pipeline;
             batch.degraded = result.degraded;
             batch.quantaRecorded = result.quantaRecorded;
-            if (batchedFft) {
+            if (params_.batchedFft) {
                 staged.push_back(std::move(batch));
                 stagedVerdicts.push_back(
                     std::move(result.finalVerdicts));
@@ -331,11 +287,9 @@ FleetAuditor::run()
                     detectedOf(result.finalVerdicts);
                 queues[s]->push(std::move(batch));
             }
-            prog.lastBeatNs.store(steadyNowNs());
-            ++processed;
         }
 
-        if (batchedFft) {
+        if (params_.batchedFft) {
             std::vector<UnitOutcome*> pending;
             for (std::vector<UnitOutcome>& verdicts : stagedVerdicts)
                 for (UnitOutcome& unit : verdicts)
@@ -351,105 +305,14 @@ FleetAuditor::run()
                 queues[s]->push(std::move(staged[i]));
             }
         }
-        prog.active.store(false);
-    };
-
-    const auto unclaimedCount = [&](std::size_t s) {
-        std::size_t unclaimed = 0;
-        for (std::size_t i = 0; i < plan[s].size(); ++i)
-            if (!claimed[s][i].load())
-                ++unclaimed;
-        return unclaimed;
-    };
-
-    // Redispatch a shard whose worker died or went silent, honouring
-    // the per-shard restart budget and exponential backoff.  Runs on
-    // the watchdog thread (or the caller, for the final sweep); the
-    // claim flags make it safe even against a worker that is merely
-    // slow rather than dead.
-    const auto superviseShard = [&](std::size_t s) {
-        ShardProgress& prog = progress[s];
-        if (crashed.load(std::memory_order_acquire))
-            return;
-        if (unclaimedCount(s) == 0)
-            return;
-        const bool dead = prog.died.load();
-        const bool silent =
-            prog.started.load() && prog.active.load() &&
-            static_cast<double>(steadyNowNs() -
-                                prog.lastBeatNs.load()) >
-                params_.watchdog.stallTimeoutMs * 1e6;
-        const bool vanished = prog.started.load() && !prog.active.load();
-        if (prog.abandoned.load())
-            return;
-        if (!dead && !silent && !vanished)
-            return;
-        prog.died.store(false);
-        // The stall is counted whether or not a restart is still in
-        // budget — an abandoned shard must not read as a healthy one.
-        ++report.watchdog.stallsDetected;
-        if (prog.restarts.load() >=
-            params_.watchdog.maxRestartsPerShard) {
-            prog.abandoned.store(true);
-            return;
-        }
-        const std::uint64_t attempt = prog.restarts.fetch_add(1) + 1;
-        ++report.watchdog.restartsDispatched;
-        report.watchdog.tenantsRedispatched += unclaimedCount(s);
-        const double backoffMs = params_.watchdog.backoffBaseMs *
-                                 static_cast<double>(1ull
-                                                     << (attempt - 1));
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoffMs));
-        runShard(s, true);
-    };
-
-    // The watchdog waits on its own (always-empty) control queue so
-    // shutdown — close() — interrupts a poll interval immediately.
-    std::unique_ptr<BoundedQueue<int>> watchdogControl;
-    std::thread watchdogThread;
-    if (params_.watchdog.enabled) {
-        watchdogControl = std::make_unique<BoundedQueue<int>>(1);
-        watchdogThread = std::thread([&]() {
-            const auto interval = std::chrono::duration<
-                double, std::milli>(params_.watchdog.pollIntervalMs);
-            while (true) {
-                watchdogControl->popFor(interval);
-                if (watchdogControl->closed())
-                    return;
-                ++report.watchdog.polls;
-                for (std::size_t s = 0; s < shards; ++s)
-                    superviseShard(s);
-            }
-        });
-    }
-
-    const auto stopWatchdog = [&]() {
-        if (watchdogControl)
-            watchdogControl->close();
-        if (watchdogThread.joinable())
-            watchdogThread.join();
     };
 
     ThreadPool pool(params_.workerThreads);
     try {
-        pool.parallelFor(shards,
-                         [&](std::size_t s) { runShard(s, false); });
+        pool.parallelFor(shards, runShard);
     } catch (...) {
-        stopWatchdog();
         closeAndJoin();
         throw;
-    }
-
-    // Workers are done (or dead); stop the watchdog, then sweep any
-    // leftovers synchronously — a stall the watchdog had not noticed
-    // yet is picked up here, inside the same restart budget.
-    stopWatchdog();
-    if (params_.watchdog.enabled) {
-        for (std::size_t s = 0; s < shards; ++s)
-            superviseShard(s);
-        for (std::size_t s = 0; s < shards; ++s)
-            report.watchdog.abandonedTenants += unclaimedCount(s);
     }
     closeAndJoin();
 
@@ -542,7 +405,6 @@ FleetAuditor::run()
         report.shards[s].batchesPushed = queues[s]->pushed();
         report.shards[s].queueHighWater = queues[s]->highWaterMark();
         report.shards[s].batchedSeries = shardBatchedSeries[s];
-        report.shards[s].restarts = progress[s].restarts.load();
         report.quantaTotal += shardQuanta[s];
     }
     return report;
@@ -593,31 +455,12 @@ FleetAuditReport::statEntries() const
         entries.push_back({prefix + "batchedSeries",
                            static_cast<double>(shard.batchedSeries),
                            "series through the batched FFT pass"});
-        entries.push_back({prefix + "restarts",
-                           static_cast<double>(shard.restarts),
-                           "watchdog redispatches of this shard"});
         entries.push_back({prefix + "recovered",
                            static_cast<double>(shard.recoveredTenants),
                            "tenants restored instead of re-audited"});
     }
     entries.push_back({"fleet.crashed", crashed ? 1.0 : 0.0,
                        "run killed by the crash switch"});
-    entries.push_back({"fleet.watchdog.polls",
-                       static_cast<double>(watchdog.polls),
-                       "watchdog wake-ups"});
-    entries.push_back({"fleet.watchdog.stalls",
-                       static_cast<double>(watchdog.stallsDetected),
-                       "dead or silent shard workers detected"});
-    entries.push_back({"fleet.watchdog.restarts",
-                       static_cast<double>(watchdog.restartsDispatched),
-                       "shard redispatches across the fleet"});
-    entries.push_back(
-        {"fleet.watchdog.redispatchedTenants",
-         static_cast<double>(watchdog.tenantsRedispatched),
-         "tenants picked back up by a redispatch"});
-    entries.push_back({"fleet.watchdog.abandoned",
-                       static_cast<double>(watchdog.abandonedTenants),
-                       "tenants left after the restart budget"});
     const auto append = [&entries](std::vector<StatEntry> more) {
         entries.insert(entries.end(),
                        std::make_move_iterator(more.begin()),

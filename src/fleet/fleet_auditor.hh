@@ -27,63 +27,9 @@
 #include "persist/recovery.hh"
 #include "respond/orchestrator.hh"
 #include "respond/residual.hh"
-#include "util/bounded_queue.hh"
 
 namespace cchunter
 {
-
-/**
- * Shard-worker supervision.  The watchdog thread polls per-shard
- * heartbeats; a shard whose worker died (or stopped beating) with
- * unclaimed tenants is re-dispatched after an exponential backoff, at
- * most maxRestartsPerShard times.  Exactly-once auditing is guaranteed
- * by per-tenant claim flags, so a redispatch (or even a spurious one)
- * can never double-audit: it only picks up what the dead worker left.
- */
-struct WatchdogParams
-{
-    bool enabled = false;
-
-    /** A beating worker is declared stalled after this much silence. */
-    double stallTimeoutMs = 500.0;
-
-    /** Watchdog wake-up cadence (BoundedQueue::popFor, so shutdown
-     *  interrupts the wait immediately). */
-    double pollIntervalMs = 20.0;
-
-    /** Re-dispatch budget per shard; exhausted means the shard's
-     *  remaining tenants are abandoned (and counted). */
-    std::size_t maxRestartsPerShard = 2;
-
-    /** First backoff; doubles per restart of the same shard. */
-    double backoffBaseMs = 2.0;
-
-    /** simulateStallShard value meaning "no stall simulation". */
-    static constexpr std::size_t kNoStall =
-        static_cast<std::size_t>(-1);
-
-    /**
-     * Test hook: the first worker on this shard dies (returns without
-     * claiming further tenants) after auditing
-     * simulateStallAfterTenants of its plan.  Redispatched workers are
-     * immune, so the watchdog path is exercised deterministically.
-     * Stall simulation disables batchedFft for the run — a dead
-     * worker's staged batches would be lost — which does not change
-     * the incident stream.
-     */
-    std::size_t simulateStallShard = kNoStall;
-    std::size_t simulateStallAfterTenants = 0;
-};
-
-/** What the watchdog saw and did during one run. */
-struct WatchdogStats
-{
-    std::uint64_t polls = 0;            //!< watchdog wake-ups
-    std::uint64_t stallsDetected = 0;   //!< dead/silent shard workers
-    std::uint64_t restartsDispatched = 0; //!< redispatches (all shards)
-    std::uint64_t tenantsRedispatched = 0; //!< tenants picked back up
-    std::uint64_t abandonedTenants = 0; //!< left after budget ran out
-};
 
 /**
  * Incident-driven response orchestration for the fleet run.  When
@@ -173,10 +119,6 @@ struct FleetAuditParams
      */
     std::size_t analysisThreads = 0;
 
-    /** Capacity of each shard's batch hand-off queue.  A full queue
-     *  blocks the shard worker, so no batch is ever lost. */
-    std::size_t batchQueueCapacity = 4;
-
     /**
      * Batch each shard's end-of-run oscillation transforms: tenants
      * run with deferred cache verdicts, and the shard worker resolves
@@ -204,9 +146,6 @@ struct FleetAuditParams
      */
     persist::PersistPolicy persist;
 
-    /** Shard-worker supervision (off by default). */
-    WatchdogParams watchdog;
-
     /** Incident-driven mitigation orchestration (off by default). */
     FleetResponseParams respond;
 
@@ -229,7 +168,6 @@ struct ShardStats
     std::size_t queueHighWater = 0;  //!< deepest hand-off backlog
     std::uint64_t offlineDetected = 0; //!< end-of-run unit detections
     std::uint64_t batchedSeries = 0; //!< series through the batched FFT
-    std::uint64_t restarts = 0;      //!< watchdog redispatches
     std::uint64_t recoveredTenants = 0; //!< tenants restored, not run
 };
 
@@ -264,9 +202,6 @@ struct FleetAuditReport
     /** Persistence-layer accounting (checkpoints, journal, recovery
      *  defects). */
     persist::PersistStats persist;
-
-    /** Watchdog accounting (zero when supervision was off). */
-    WatchdogStats watchdog;
 
     /** Response-loop outcome (enabled=false when the loop was off;
      *  a crashed run never orchestrates — resume first). */

@@ -427,7 +427,6 @@ registryFingerprint(const TenantRegistry& registry)
            << tenant.audit.online.clusteringIntervalQuanta << '\x1f'
            << tenant.audit.online.analysisThreads << '\x1f'
            << tenant.audit.online.retentionQuanta << '\x1f'
-           << tenant.audit.online.autocorrEveryQuantum << '\x1f'
            << scenarioConfig(tenant.audit.scenario).dump();
         hash = fnv1a64(os.str(), hash);
     }

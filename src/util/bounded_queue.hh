@@ -4,16 +4,15 @@
  *
  * Decouples producers from a consumer thread: the fleet's shard
  * workers enqueue tenant alarm batches and a per-shard collector
- * drains them (the fleet's watchdog also waits on one with popFor).
- * When the queue is full the producer blocks (backpressure: it waits
- * for the consumer to catch up), so no item is ever lost.
+ * drains them.  When the queue is full the producer blocks
+ * (backpressure: it waits for the consumer to catch up), so no item is
+ * ever lost.
  */
 
 #ifndef CCHUNTER_UTIL_BOUNDED_QUEUE_HH
 #define CCHUNTER_UTIL_BOUNDED_QUEUE_HH
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -82,43 +81,6 @@ class BoundedQueue
         return out;
     }
 
-    /**
-     * Dequeue the oldest item, waiting at most `timeout`.  Returns
-     * nullopt on timeout or once the queue is closed and drained —
-     * callers that must tell the cases apart check closed().  A
-     * close() arriving mid-wait wakes the waiter immediately, so a
-     * watchdog polling on popFor() shuts down without serving out its
-     * full interval.
-     */
-    template <typename Rep, typename Period>
-    std::optional<T>
-    popFor(std::chrono::duration<Rep, Period> timeout)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        notEmpty_.wait_for(lock, timeout, [this] {
-            return !queue_.empty() || closed_;
-        });
-        if (queue_.empty())
-            return std::nullopt;
-        T out = std::move(queue_.front());
-        queue_.pop_front();
-        notFull_.notify_one();
-        return out;
-    }
-
-    /** Non-blocking dequeue. */
-    bool
-    tryPop(T& out)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (queue_.empty())
-            return false;
-        out = std::move(queue_.front());
-        queue_.pop_front();
-        notFull_.notify_one();
-        return true;
-    }
-
     /** Reject further pushes and wake all waiters. */
     void
     close()
@@ -128,23 +90,6 @@ class BoundedQueue
         notEmpty_.notify_all();
         notFull_.notify_all();
     }
-
-    bool
-    closed() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return closed_;
-    }
-
-    /** Items currently queued. */
-    std::size_t
-    depth() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return queue_.size();
-    }
-
-    std::size_t capacity() const { return cap_; }
 
     /** Deepest the queue has ever been. */
     std::size_t

@@ -1,5 +1,9 @@
 #include "util/thread_pool.hh"
 
+#include <algorithm>
+#include <exception>
+#include <memory>
+
 #include "util/logging.hh"
 
 namespace cchunter
@@ -73,13 +77,12 @@ namespace
  * counter never touch a dead frame.
  *
  * Claims happen under the mutex (work items here are coarse — slot
- * analyses, k-means restarts, fleet shards — so claim cost is noise)
- * which makes the termination invariant simple: once `error` is set or
- * `next` reaches `count`, no new item can ever start, and the caller
- * only needs `inFlight` to drain to zero before returning.  Both
- * conditions are monotone, so a helper task scheduled long after the
- * caller has returned observes them and exits without touching the
- * body.
+ * analyses, fleet shards — so claim cost is noise) which makes the
+ * termination invariant simple: once `error` is set or `next` reaches
+ * `count`, no new item can ever start, and the caller only needs
+ * `inFlight` to drain to zero before returning.  Both conditions are
+ * monotone, so a helper task scheduled long after the caller has
+ * returned observes them and exits without touching the body.
  */
 struct ForState
 {

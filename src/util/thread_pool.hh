@@ -2,12 +2,12 @@
  * @file
  * A fixed-size worker-thread pool.
  *
- * The audit daemon fans per-unit quantum analyses across cores, and
- * k-means fans independent restarts; both need a reusable pool rather
- * than per-call thread spawning.  parallelFor() lets the calling
- * thread participate in its own work items, so nested parallel
- * sections (e.g. parallel k-means restarts inside a parallel slot
- * analysis) make progress even when every worker is busy.
+ * The fleet auditor runs its shards on one, and an audit daemon fans
+ * its per-slot quantum analyses across another; both need a reusable
+ * pool rather than per-call thread spawning.  parallelFor() lets the
+ * calling thread participate in its own work items, so nested parallel
+ * sections (a daemon's slot fan-out inside a fleet shard) make
+ * progress even when every worker is busy.
  */
 
 #ifndef CCHUNTER_UTIL_THREAD_POOL_HH
@@ -17,11 +17,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace cchunter
@@ -52,19 +49,6 @@ class ThreadPool
 
     /** Enqueue a fire-and-forget job. */
     void run(std::function<void()> job);
-
-    /** Enqueue a job and return a future for its result. */
-    template <typename F>
-    auto
-    submit(F f) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::move(f));
-        std::future<R> result = task->get_future();
-        run([task]() { (*task)(); });
-        return result;
-    }
 
     /**
      * Invoke body(i) for every i in [0, count), spread across the

@@ -292,6 +292,40 @@ TEST(OnlineAnalysisTest, PipelineStatsCountDrains)
     EXPECT_TRUE(found);
 }
 
+TEST(OnlineAnalysisTest, PipelineSummaryIgnoresWallClockLatency)
+{
+    // Two runs of one scenario differ only in how long each analysis
+    // pass took on the host; the printed summary must not differ.
+    PipelineStats fast;
+    fast.drainedHistograms = 16;
+    fast.drainedConflicts = 3;
+    fast.evictedQuanta = 2;
+    fast.evictedConflicts = 1;
+    fast.analysesRun = 2;
+    fast.latencyMinUs = 10.0;
+    fast.latencyMaxUs = 30.0;
+    fast.latencyTotalUs = 40.0;
+    PipelineStats slow = fast;
+    slow.latencyMinUs = 123.1;
+    slow.latencyMaxUs = 353.3;
+    slow.latencyTotalUs = 476.4;
+    EXPECT_EQ(fast.summary(), slow.summary());
+
+    // The simulated counts still show, and the latencies still reach
+    // the stat entries.
+    PipelineStats morePasses = fast;
+    ++morePasses.analysesRun;
+    EXPECT_NE(fast.summary(), morePasses.summary());
+    bool found = false;
+    for (const auto& e : pipelineStatEntries(slow)) {
+        if (e.name == "daemon.latency_max_us") {
+            EXPECT_DOUBLE_EQ(e.value, 353.3);
+            found = true;
+        }
+    }
+    EXPECT_TRUE(found);
+}
+
 TEST(OnlineAnalysisTest, LongRunKeepsWindowsAndCostBounded)
 {
     // Run 4x the retention window: the daemon must hold exactly

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -19,24 +20,15 @@ TEST(BoundedQueueTest, ZeroCapacityThrows)
 TEST(BoundedQueueTest, FifoOrder)
 {
     BoundedQueue<int> q(4);
-    q.push(1);
-    q.push(2);
-    q.push(3);
-    EXPECT_EQ(q.depth(), 3u);
+    EXPECT_TRUE(q.push(1));
+    EXPECT_TRUE(q.push(2));
+    EXPECT_TRUE(q.push(3));
     EXPECT_EQ(q.pop(), 1);
     EXPECT_EQ(q.pop(), 2);
     EXPECT_EQ(q.pop(), 3);
-    EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(BoundedQueueTest, TryPopOnEmptyFails)
-{
-    BoundedQueue<int> q(2);
-    int out = 0;
-    EXPECT_FALSE(q.tryPop(out));
-    q.push(7);
-    EXPECT_TRUE(q.tryPop(out));
-    EXPECT_EQ(out, 7);
+    // Nothing is left behind: once closed, the next pop ends.
+    q.close();
+    EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(BoundedQueueTest, HighWaterMarkTracksDeepestDepth)
@@ -49,7 +41,11 @@ TEST(BoundedQueueTest, HighWaterMarkTracksDeepestDepth)
     q.pop();
     q.push(4);
     EXPECT_EQ(q.highWaterMark(), 3u);
-    EXPECT_EQ(q.depth(), 2u);
+    // Exactly two items remain, in order.
+    q.close();
+    EXPECT_EQ(q.pop(), 3);
+    EXPECT_EQ(q.pop(), 4);
+    EXPECT_FALSE(q.pop().has_value());
 }
 
 TEST(BoundedQueueTest, BlockPolicyAppliesBackpressure)
@@ -83,7 +79,7 @@ TEST(BoundedQueueTest, CloseWakesBlockedProducer)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     q.close();
     producer.join();
-    EXPECT_TRUE(q.closed());
+    EXPECT_FALSE(q.push(3)); // still closed
     // The queued item survives the close; pops drain then end.
     EXPECT_EQ(q.pop(), 1);
     EXPECT_FALSE(q.pop().has_value());
@@ -136,94 +132,30 @@ TEST(BoundedQueueTest, PushRacingCloseNeverBlocksForever)
         while (q.pop().has_value())
             ++drained;
         EXPECT_EQ(drained, accepted ? 2 : 1);
-        EXPECT_TRUE(q.closed());
+        EXPECT_FALSE(q.push(2));
     }
 }
 
-TEST(BoundedQueueTest, PopForTimesOutEmptyHanded)
-{
-    BoundedQueue<int> q(2);
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(q.popFor(std::chrono::milliseconds(10)).has_value());
-    // The wait must actually have waited (roughly) — popFor is the
-    // watchdog's poll cadence, not a busy spin.
-    EXPECT_GE(std::chrono::steady_clock::now() - start,
-              std::chrono::milliseconds(5));
-    EXPECT_FALSE(q.closed());
-}
-
-TEST(BoundedQueueTest, PopForReturnsQueuedItemImmediately)
-{
-    BoundedQueue<int> q(2);
-    q.push(42);
-    const auto v = q.popFor(std::chrono::seconds(30));
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 42);
-    EXPECT_EQ(q.depth(), 0u);
-}
-
-TEST(BoundedQueueTest, PushWakesWaitingPopFor)
+TEST(BoundedQueueTest, PushWakesWaitingPop)
 {
     BoundedQueue<int> q(2);
     std::thread consumer([&] {
-        // A long timeout that a concurrent push must cut short.
-        const auto v = q.popFor(std::chrono::seconds(30));
+        // Blocked on the empty queue until the push below.
+        const auto v = q.pop();
         ASSERT_TRUE(v.has_value());
         EXPECT_EQ(*v, 5);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.push(5);
+    EXPECT_TRUE(q.push(5));
     consumer.join();
-}
-
-TEST(BoundedQueueTest, CloseWakesWaitingPopFor)
-{
-    // The watchdog shutdown path: close() must interrupt a popFor
-    // immediately instead of letting the full timeout elapse.
-    BoundedQueue<int> q(2);
-    const auto start = std::chrono::steady_clock::now();
-    std::thread consumer([&] {
-        EXPECT_FALSE(
-            q.popFor(std::chrono::seconds(30)).has_value());
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-    consumer.join();
-    EXPECT_LT(std::chrono::steady_clock::now() - start,
-              std::chrono::seconds(5));
-}
-
-TEST(BoundedQueueTest, PopForDrainsThenTimesOutAfterClose)
-{
-    // Items queued before close() still drain through popFor; only
-    // then does it report empty.
-    BoundedQueue<int> q(4);
-    q.push(1);
-    q.push(2);
-    q.close();
-    EXPECT_EQ(q.popFor(std::chrono::milliseconds(5)), 1);
-    EXPECT_EQ(q.popFor(std::chrono::milliseconds(5)), 2);
-    EXPECT_FALSE(q.popFor(std::chrono::milliseconds(5)).has_value());
-}
-
-TEST(BoundedQueueTest, PopForMakesRoomForBlockedProducer)
-{
-    BoundedQueue<int> q(1);
-    q.push(1);
-    std::thread producer([&] { EXPECT_TRUE(q.push(2)); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    // popFor must notify notFull like pop() does, or the producer
-    // stays stuck.
-    EXPECT_EQ(q.popFor(std::chrono::seconds(30)), 1);
-    producer.join();
-    EXPECT_EQ(q.pop(), 2);
 }
 
 TEST(BoundedQueueTest, ManyProducersOneConsumerDeliversEverything)
 {
     constexpr int kProducers = 4;
     constexpr int kPerProducer = 250;
-    BoundedQueue<int> q(8);
+    constexpr std::size_t kCapacity = 8;
+    BoundedQueue<int> q(kCapacity);
     std::vector<std::thread> producers;
     producers.reserve(kProducers);
     for (int p = 0; p < kProducers; ++p) {
@@ -243,10 +175,11 @@ TEST(BoundedQueueTest, ManyProducersOneConsumerDeliversEverything)
     }
     for (auto& t : producers)
         t.join();
-    EXPECT_EQ(q.depth(), 0u);
+    q.close();
+    EXPECT_FALSE(q.pop().has_value()); // every item was delivered once
     EXPECT_EQ(q.pushed(),
               static_cast<std::uint64_t>(kProducers * kPerProducer));
-    EXPECT_LE(q.highWaterMark(), q.capacity());
+    EXPECT_LE(q.highWaterMark(), kCapacity);
 }
 
 } // namespace

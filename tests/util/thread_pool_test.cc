@@ -26,21 +26,6 @@ TEST(ThreadPoolTest, ZeroThreadsUsesHardwareConcurrency)
     EXPECT_EQ(pool.size(), ThreadPool::hardwareConcurrency());
 }
 
-TEST(ThreadPoolTest, SubmitReturnsResult)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit([]() { return 6 * 7; });
-    EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesException)
-{
-    ThreadPool pool(2);
-    auto f = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, DestructorDrainsQueuedJobs)
 {
     std::atomic<int> ran{0};
