@@ -153,7 +153,6 @@ main(int argc, char** argv)
 
     const TenantRegistry registry = TenantRegistry::synthetic(fleet);
     std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
 
     const auto timedRun = [&](const FleetAuditParams& params,
                               double& wallMs) {
@@ -196,7 +195,6 @@ main(int argc, char** argv)
 
     // 3. Kill mid-run, then sample the recovery load.
     std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
     FleetAuditParams killed = persisted;
     killed.simulateCrashAfterBatches = killAfter;
     double crashMs = 0.0;

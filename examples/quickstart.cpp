@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "auditor/cc_auditor.hh"
 #include "auditor/daemon.hh"
@@ -34,7 +35,12 @@ int
 main(int argc, char** argv)
 {
     const Config cfg = Config::fromArgs(argc, argv);
-    const FaultPlan fault_plan = FaultPlan::fromConfig(cfg);
+    FaultPlan fault_plan;
+    try {
+        fault_plan = FaultPlan::fromConfig(cfg);
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the key
+    }
     // 1. The machine: a quad-core SMT processor at 2.5 GHz (the
     //    paper's evaluation platform).  Default parameters throughout.
     Machine machine;

@@ -43,7 +43,6 @@ main()
     const TenantRegistry registry = TenantRegistry::synthetic({});
     const std::string dir = "restartable_fleet_state";
     std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
 
     // Baseline: the answer an uninterrupted audit produces.
     FleetAuditParams params;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -86,10 +85,6 @@ DegradedStats::accumulate(const DegradedStats& other)
     saturatedBinEvents += other.saturatedBinEvents;
     accumulatorSaturations += other.accumulatorSaturations;
     unmergeUnderflows += other.unmergeUnderflows;
-    quarantinedBatches += other.quarantinedBatches;
-    quarantineBadLabel += other.quarantineBadLabel;
-    quarantineBinMismatch += other.quarantineBinMismatch;
-    quarantineSlotRange += other.quarantineSlotRange;
     degradedAlarms += other.degradedAlarms;
     minAlarmConfidence =
         std::min(minAlarmConfidence, other.minAlarmConfidence);
@@ -117,9 +112,8 @@ DegradedStats::summary() const
        << reorderedBatches << ", corrupt contexts "
        << corruptedContexts << ", bloom aliases " << bloomAliases
        << ", saturated bins " << saturatedBinEvents
-       << ", quarantined " << quarantinedBatches << ", degraded alarms "
-       << degradedAlarms << " (min confidence " << minAlarmConfidence
-       << ')';
+       << ", degraded alarms " << degradedAlarms << " (min confidence "
+       << minAlarmConfidence << ')';
     return os.str();
 }
 
@@ -153,18 +147,6 @@ degradedStatEntries(const DegradedStats& s, const std::string& prefix)
     add("unmerge_underflows",
         static_cast<double>(s.unmergeUnderflows),
         "merged-window bins clamped at zero on eviction");
-    add("quarantined_batches",
-        static_cast<double>(s.quarantinedBatches),
-        "malformed analysis batches refused");
-    add("quarantine_bad_label",
-        static_cast<double>(s.quarantineBadLabel),
-        "quarantines: non-binary oscillation label");
-    add("quarantine_bin_mismatch",
-        static_cast<double>(s.quarantineBinMismatch),
-        "quarantines: histogram bin-count mismatch");
-    add("quarantine_slot_range",
-        static_cast<double>(s.quarantineSlotRange),
-        "quarantines: slot index out of range");
     add("degraded_alarms", static_cast<double>(s.degradedAlarms),
         "alarms raised with confidence below 1");
     add("min_alarm_confidence", s.minAlarmConfidence,
@@ -437,190 +419,30 @@ AuditDaemon::dispatchAnalyses(std::uint64_t quantum_index, Tick now)
     if (batch.work.empty())
         return;
 
-    // Batch corruption happens *after* assembly — it models the
-    // analysis input itself going wrong, which is exactly what the
-    // validation stage must catch.  A corrupted batch analyses its
-    // (mangled) snapshots rather than the pristine live windows.
-    bool corrupted = false;
-    if (injector_) {
-        const FaultInjector::BatchCorruption kind =
-            injector_->nextBatchCorruption();
-        if (kind != FaultInjector::BatchCorruption::None) {
-            materializeSnapshots(batch);
-            corrupted = applyBatchCorruption(batch, kind);
-            if (corrupted)
-                injector_->recordBatchCorruption();
-        }
-    }
-
     const auto t0 = std::chrono::steady_clock::now();
-    const QuarantineReason reason = validateBatch(batch, corrupted);
-    if (reason != QuarantineReason::None) {
-        quarantineBatch(reason);
-    } else {
-        analyzeBatch(batch, corrupted);
-        applyVerdicts(batch);
-    }
+    analyzeBatch(batch);
+    applyVerdicts(batch);
     const auto t1 = std::chrono::steady_clock::now();
     recordAnalysisLatency(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
 }
 
 void
-AuditDaemon::materializeSnapshots(AnalysisBatch& batch)
+AuditDaemon::analyzeBatch(AnalysisBatch& batch)
 {
-    for (auto& sv : batch.work) {
-        SlotState& st = slots_[sv.slot];
-        if (sv.hasContention) {
-            sv.windowCopy = st.window.toVector();
-            if (st.mergedInit) {
-                sv.mergedCopy = st.merged;
-                sv.mergedValid = true;
-            }
-        }
-        if (sv.hasOscillation)
-            sv.labels = st.quantumLabels;
-    }
-}
-
-bool
-AuditDaemon::applyBatchCorruption(AnalysisBatch& batch,
-                                  FaultInjector::BatchCorruption kind)
-{
-    auto corruptLabel = [&batch]() {
-        for (auto& sv : batch.work) {
-            if (sv.hasOscillation && !sv.labels.empty()) {
-                sv.labels[0] =
-                    std::numeric_limits<double>::quiet_NaN();
-                return true;
-            }
-        }
-        return false;
-    };
-    auto corruptBins = [&batch]() {
-        for (auto& sv : batch.work) {
-            if (sv.hasContention && !sv.windowCopy.empty()) {
-                sv.windowCopy[0] =
-                    Histogram(sv.windowCopy[0].numBins() + 1);
-                return true;
-            }
-        }
-        return false;
-    };
-    // Fall through to the other corruption when the drawn one has no
-    // substrate in this batch, so a scheduled corruption lands
-    // whenever anything is corruptible at all.
-    if (kind == FaultInjector::BatchCorruption::BadLabel)
-        return corruptLabel() || corruptBins();
-    return corruptBins() || corruptLabel();
-}
-
-QuarantineReason
-AuditDaemon::validateBatch(const AnalysisBatch& batch,
-                           bool from_snapshots) const
-{
-    for (const auto& sv : batch.work) {
-        if (sv.slot >= slots_.size())
-            return QuarantineReason::SlotOutOfRange;
-        if (sv.hasContention) {
-            if (from_snapshots) {
-                if (!sv.windowCopy.empty()) {
-                    const std::size_t bins =
-                        sv.windowCopy.front().numBins();
-                    for (const Histogram& h : sv.windowCopy)
-                        if (h.numBins() != bins)
-                            return QuarantineReason::BinMismatch;
-                    if (sv.mergedValid &&
-                        sv.mergedCopy.numBins() != bins)
-                        return QuarantineReason::BinMismatch;
-                }
-            } else {
-                const SlotState& st = slots_[sv.slot];
-                if (st.window.size() != 0) {
-                    const std::size_t bins =
-                        st.window[0].numBins();
-                    for (const Histogram& h : st.window)
-                        if (h.numBins() != bins)
-                            return QuarantineReason::BinMismatch;
-                    if (st.mergedInit &&
-                        st.merged.numBins() != bins)
-                        return QuarantineReason::BinMismatch;
-                }
-            }
-        }
-        if (sv.hasOscillation) {
-            const std::vector<double>& labels =
-                from_snapshots ? sv.labels
-                               : slots_[sv.slot].quantumLabels;
-            for (const double l : labels) {
-                // A NaN fails both comparisons, so this rejects NaN,
-                // infinities and every non-binary value in one shot.
-                if (!(l == 0.0 || l == 1.0))
-                    return QuarantineReason::BadLabel;
-            }
-        }
-    }
-    return QuarantineReason::None;
-}
-
-void
-AuditDaemon::quarantineBatch(QuarantineReason reason)
-{
-    ++degraded_.quarantinedBatches;
-    switch (reason) {
-    case QuarantineReason::BadLabel:
-        ++degraded_.quarantineBadLabel;
-        break;
-    case QuarantineReason::BinMismatch:
-        ++degraded_.quarantineBinMismatch;
-        break;
-    case QuarantineReason::SlotOutOfRange:
-        ++degraded_.quarantineSlotRange;
-        break;
-    case QuarantineReason::None:
-        break;
-    }
-}
-
-void
-AuditDaemon::analyzeBatch(AnalysisBatch& batch, bool from_snapshots)
-{
+    // Contention makes the end-of-run per-slot call, so an alarm and a
+    // final verdict over the same window agree; oscillation reads the
+    // labels drained this quantum.  The pool only fans out across
+    // slots, not within one.
     auto analyzeOne = [&](std::size_t i) {
         SlotWork& sv = batch.work[i];
-        // Each task gets its own hunter; the shared pool only fans out
-        // across slots, not within one (the per-slot kernels are the
-        // unit of parallelism here).
-        CCHunter hunter(onlineParams_.hunter);
-        if (sv.hasContention) {
-            std::vector<const Histogram*> view;
-            const Histogram* premerged = nullptr;
-            if (from_snapshots) {
-                view.reserve(sv.windowCopy.size());
-                for (const Histogram& h : sv.windowCopy)
-                    view.push_back(&h);
-                if (!sv.windowCopy.empty())
-                    premerged = &sv.mergedCopy;
-            } else {
-                const SlotState& st = slots_[sv.slot];
-                view.reserve(st.window.size());
-                for (const Histogram& h : st.window)
-                    view.push_back(&h);
-                if (st.mergedInit)
-                    premerged = &st.merged;
-            }
-            sv.contention = hunter.analyzeContention(view, premerged);
-            if (!view.empty() && view.front()->numBins() != 0)
-                sv.satFraction =
-                    static_cast<double>(
-                        sv.contention.combined.saturatedBins) /
-                    static_cast<double>(view.front()->numBins());
-        }
-        if (sv.hasOscillation) {
-            const std::vector<double>& labels =
-                from_snapshots ? sv.labels
-                               : slots_[sv.slot].quantumLabels;
-            sv.oscillation = hunter.analyzeOscillation(labels);
-        }
+        if (sv.hasContention)
+            sv.contention =
+                analyzeContention(sv.slot, onlineParams_.hunter);
+        if (sv.hasOscillation)
+            sv.oscillation = CCHunter(onlineParams_.hunter)
+                                 .analyzeOscillation(
+                                     slots_[sv.slot].quantumLabels);
     };
     if (pool_ && batch.work.size() > 1) {
         pool_->parallelFor(batch.work.size(), analyzeOne);
@@ -635,10 +457,6 @@ AuditDaemon::applyVerdicts(AnalysisBatch& batch)
 {
     // Apply verdicts in slot order, contention before oscillation, so
     // the alarm stream does not depend on the analysisThreads fan-out.
-    auto clamp01 = [](double v) {
-        return std::max(0.0, std::min(1.0, v));
-    };
-    const double coverage = windowCoverage();
     auto raise = [&](const SlotWork& sv, AlarmKind kind,
                      std::string summary, double confidence,
                      std::uint64_t dominant) {
@@ -657,12 +475,12 @@ AuditDaemon::applyVerdicts(AnalysisBatch& batch)
     for (const auto& sv : batch.work) {
         if (sv.hasContention && sv.contention.detected)
             raise(sv, AlarmKind::Contention, sv.contention.summary(),
-                  clamp01(coverage * (1.0 - sv.satFraction)),
+                  contentionConfidence(sv.slot, sv.contention),
                   sv.contention.combined.burstPeakBin);
         if (sv.hasOscillation && sv.oscillation.detected)
             raise(sv, AlarmKind::Oscillation,
                   sv.oscillation.summary(),
-                  clamp01(coverage * conflictIntegrity(sv.slot)),
+                  oscillationConfidence(sv.slot),
                   sv.oscillation.analysis.dominantLag);
     }
 }
@@ -752,7 +570,7 @@ AuditDaemon::degradedStats() const
     DegradedStats out = degraded_;
     // Component-held counters are read live rather than mirrored on
     // every event; the daemon's own ledger only carries what the
-    // components cannot see (quanta, batches, quarantines).
+    // components cannot see (quanta, batches, alarms).
     for (unsigned s = 0; s < auditor_.numSlots(); ++s) {
         if (s < slots_.size())
             out.unmergeUnderflows +=
@@ -834,19 +652,6 @@ AuditDaemon::labelSeries(unsigned slot) const
     out.reserve(recs.size());
     for (const auto& r : recs)
         out.push_back(labelOf(r));
-    return out;
-}
-
-std::vector<double>
-AuditDaemon::labelSeriesForQuantum(unsigned slot,
-                                   std::uint64_t quantum) const
-{
-    const auto& recs = slotState(slot).records;
-    std::vector<double> out;
-    for (const auto& r : recs) {
-        if (r.quantum == quantum)
-            out.push_back(labelOf(r));
-    }
     return out;
 }
 

@@ -119,15 +119,6 @@ struct PipelineStats
 std::vector<StatEntry> pipelineStatEntries(
     const PipelineStats& stats, const std::string& prefix = "daemon.");
 
-/** Why a malformed analysis batch was quarantined. */
-enum class QuarantineReason : std::uint8_t
-{
-    None,
-    BadLabel,      //!< an oscillation label was not a binary 0/1
-    BinMismatch,   //!< window histograms disagree on bin count
-    SlotOutOfRange //!< batch names a slot the daemon does not have
-};
-
 /**
  * Degraded-operation counters: everything the pipeline observed going
  * wrong with its own sensors, kept alongside (not inside) the
@@ -146,11 +137,6 @@ struct DegradedStats
     std::uint64_t accumulatorSaturations = 0; //!< event increments lost at 16 bit
     std::uint64_t unmergeUnderflows = 0; //!< merged-window bins clamped at 0
 
-    std::uint64_t quarantinedBatches = 0; //!< malformed batches refused
-    std::uint64_t quarantineBadLabel = 0;
-    std::uint64_t quarantineBinMismatch = 0;
-    std::uint64_t quarantineSlotRange = 0;
-
     std::uint64_t degradedAlarms = 0;  //!< alarms with confidence < 1
     double minAlarmConfidence = 1.0;   //!< weakest alarm raised
     double windowCoverage = 1.0;       //!< attended / scheduled quanta
@@ -158,8 +144,7 @@ struct DegradedStats
     /** Fold another block in (sums; min-combines the qualities). */
     void accumulate(const DegradedStats& other);
 
-    /** Total faults observed (quarantines excluded — they are the
-     *  response, not the injury). */
+    /** Total faults observed. */
     std::uint64_t totalFaults() const;
 
     /** Human-readable one-line summary. */
@@ -267,10 +252,6 @@ class AuditDaemon
      */
     std::vector<double> labelSeries(unsigned slot) const;
 
-    /** Label series restricted to retained records from one quantum. */
-    std::vector<double> labelSeriesForQuantum(
-        unsigned slot, std::uint64_t quantum) const;
-
     /** Run the recurrent-burst pipeline on a contention slot's
      *  retained window. */
     ContentionVerdict analyzeContention(unsigned slot,
@@ -306,8 +287,8 @@ class AuditDaemon
 
     /**
      * Attach a fault injector: quantum drops/duplications, conflict-
-     * batch mutations, Bloom aliasing and analysis-batch corruption
-     * all start flowing through it.  The injector must outlive the
+     * batch mutations and Bloom aliasing all start flowing through
+     * it.  The injector must outlive the
      * daemon (or a detach with nullptr).  The daemon stays on its
      * graceful-degradation path either way; a null injector simply
      * means no faults fire.
@@ -324,13 +305,15 @@ class AuditDaemon
      */
     double conflictIntegrity(unsigned slot) const;
 
-    /** Confidence of a contention verdict computed offline on `slot`:
-     *  window coverage degraded by the saturated-bin fraction. */
+    /** Confidence of a contention verdict on `slot`: window coverage
+     *  degraded by the saturated-bin fraction.  Rates online alarms
+     *  and end-of-run verdicts alike. */
     double contentionConfidence(unsigned slot,
                                 const ContentionVerdict& verdict) const;
 
-    /** Confidence of an oscillation verdict computed offline on
-     *  `slot`: window coverage times conflict-path integrity. */
+    /** Confidence of an oscillation verdict on `slot`: window coverage
+     *  times conflict-path integrity.  Rates online alarms and
+     *  end-of-run verdicts alike. */
     double oscillationConfidence(unsigned slot) const;
 
     /**
@@ -382,15 +365,8 @@ class AuditDaemon
         unsigned slot = 0;
         bool hasContention = false;
         bool hasOscillation = false;
-        // Owned snapshots, filled only for a batch about to be
-        // corrupted; a clean batch analyses the live windows in place.
-        std::vector<Histogram> windowCopy;
-        Histogram mergedCopy{1};
-        bool mergedValid = false;
-        std::vector<double> labels;
         ContentionVerdict contention;
         OscillationVerdict oscillation;
-        double satFraction = 0.0; //!< filled by analyzeBatch
     };
 
     /** One quantum's analysis work. */
@@ -406,13 +382,7 @@ class AuditDaemon
     void ingestConflicts(unsigned slot,
                          const std::vector<ConflictMissEvent>& evs);
     void dispatchAnalyses(std::uint64_t quantum_index, Tick now);
-    void materializeSnapshots(AnalysisBatch& batch);
-    bool applyBatchCorruption(AnalysisBatch& batch,
-                              FaultInjector::BatchCorruption kind);
-    QuarantineReason validateBatch(const AnalysisBatch& batch,
-                                   bool from_snapshots) const;
-    void quarantineBatch(QuarantineReason reason);
-    void analyzeBatch(AnalysisBatch& batch, bool from_snapshots);
+    void analyzeBatch(AnalysisBatch& batch);
     void applyVerdicts(AnalysisBatch& batch);
     void recordAnalysisLatency(double micros);
     void setContentionRetention(std::size_t quanta);

@@ -17,7 +17,6 @@ constexpr std::uint64_t dupSalt = 0x64757071'75616e74ull;
 constexpr std::uint64_t batchSalt = 0x62617463'686d7574ull;
 constexpr std::uint64_t contextSalt = 0x63747864'63727074ull;
 constexpr std::uint64_t aliasSalt = 0x626c6f6f'6d616c73ull;
-constexpr std::uint64_t corruptSalt = 0x62617463'68636f72ull;
 constexpr std::uint64_t snapFlipSalt = 0x736e6170'666c6970ull;
 constexpr std::uint64_t snapTruncSalt = 0x736e6170'74727563ull;
 constexpr std::uint64_t snapMagicSalt = 0x736e6170'6d616763ull;
@@ -32,8 +31,7 @@ FaultInjectionStats::total() const
 {
     return droppedQuanta + duplicatedQuanta + truncatedBatches +
            reorderedBatches + corruptedContexts + bloomAliases +
-           corruptedBatches + snapshotBitFlips + snapshotTruncations +
-           snapshotMagicClobbers;
+           snapshotBitFlips + snapshotTruncations + snapshotMagicClobbers;
 }
 
 std::string
@@ -45,7 +43,6 @@ FaultInjectionStats::summary() const
        << " batches (" << truncatedEvents << " events), reordered "
        << reorderedBatches << ", corrupted " << corruptedContexts
        << " contexts, " << bloomAliases << " bloom aliases, "
-       << corruptedBatches << " corrupted batches, "
        << snapshotBitFlips << " snapshot bit flips, "
        << snapshotTruncations << " snapshot truncations ("
        << snapshotBytesTorn << " bytes), " << snapshotMagicClobbers
@@ -60,7 +57,6 @@ FaultInjector::FaultInjector(FaultPlan plan)
       batchRng_(plan.seed ^ batchSalt),
       contextRng_(plan.seed ^ contextSalt),
       aliasRng_(plan.seed ^ aliasSalt),
-      corruptRng_(plan.seed ^ corruptSalt),
       snapFlipRng_(plan.seed ^ snapFlipSalt),
       snapTruncRng_(plan.seed ^ snapTruncSalt),
       snapMagicRng_(plan.seed ^ snapMagicSalt)
@@ -148,23 +144,6 @@ FaultInjector::aliasBloom()
         return false;
     ++stats_.bloomAliases;
     return true;
-}
-
-FaultInjector::BatchCorruption
-FaultInjector::nextBatchCorruption()
-{
-    if (plan_.corruptBatchRate <= 0.0)
-        return BatchCorruption::None;
-    if (!corruptRng_.nextBool(plan_.corruptBatchRate))
-        return BatchCorruption::None;
-    return corruptRng_.nextBool() ? BatchCorruption::BadLabel
-                                  : BatchCorruption::BinMismatch;
-}
-
-void
-FaultInjector::recordBatchCorruption()
-{
-    ++stats_.corruptedBatches;
 }
 
 bool

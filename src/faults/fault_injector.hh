@@ -39,7 +39,6 @@ struct FaultInjectionStats
     std::uint64_t reorderedBatches = 0; //!< conflict batches shuffled
     std::uint64_t corruptedContexts = 0; //!< context IDs overwritten
     std::uint64_t bloomAliases = 0;     //!< forced Bloom false positives
-    std::uint64_t corruptedBatches = 0; //!< analysis batches mangled
     std::uint64_t snapshotBitFlips = 0;  //!< persisted bits flipped
     std::uint64_t snapshotTruncations = 0; //!< persisted tails torn off
     std::uint64_t snapshotBytesTorn = 0; //!< bytes lost to truncations
@@ -87,14 +86,6 @@ struct ConflictBatchMutation
 class FaultInjector
 {
   public:
-    /** How an analysis batch in flight gets corrupted. */
-    enum class BatchCorruption : std::uint8_t
-    {
-        None,
-        BadLabel,   //!< an oscillation label becomes non-binary
-        BinMismatch //!< a window histogram changes bin count
-    };
-
     /** Validates the plan; each fault class gets its own stream. */
     explicit FaultInjector(FaultPlan plan);
 
@@ -125,18 +116,6 @@ class FaultInjector
      *  alias when it fires. */
     bool aliasBloom();
 
-    /**
-     * Draw the corruption (if any) for the analysis batch about to be
-     * dispatched.  Only draws; the caller reports back with
-     * recordBatchCorruption() once the corruption was actually
-     * applied, so the stats stay reconcilable against the daemon's
-     * quarantine counters even when a batch had nothing to corrupt.
-     */
-    BatchCorruption nextBatchCorruption();
-
-    /** Account one applied batch corruption. */
-    void recordBatchCorruption();
-
     /** True when any persisted-bytes fault is scheduled. */
     bool snapshotPathActive() const;
 
@@ -159,7 +138,6 @@ class FaultInjector
     Rng batchRng_;
     Rng contextRng_;
     Rng aliasRng_;
-    Rng corruptRng_;
     Rng snapFlipRng_;
     Rng snapTruncRng_;
     Rng snapMagicRng_;

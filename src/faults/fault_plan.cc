@@ -13,9 +13,8 @@ FaultPlan::enabled() const
     return dropQuantumRate > 0.0 || duplicateQuantumRate > 0.0 ||
            truncateBatchRate > 0.0 || reorderBatchRate > 0.0 ||
            corruptContextRate > 0.0 || bloomAliasRate > 0.0 ||
-           corruptBatchRate > 0.0 || saturatePaperWidths ||
-           snapshotBitFlipRate > 0.0 || snapshotTruncateRate > 0.0 ||
-           snapshotMagicClobberRate > 0.0;
+           saturatePaperWidths || snapshotBitFlipRate > 0.0 ||
+           snapshotTruncateRate > 0.0 || snapshotMagicClobberRate > 0.0;
 }
 
 void
@@ -32,7 +31,6 @@ FaultPlan::validate() const
     check("reorder_batch", reorderBatchRate);
     check("corrupt_context", corruptContextRate);
     check("bloom_alias", bloomAliasRate);
-    check("corrupt_batch", corruptBatchRate);
     check("snap_bit_flip", snapshotBitFlipRate);
     check("snap_truncate", snapshotTruncateRate);
     check("snap_clobber_magic", snapshotMagicClobberRate);
@@ -41,6 +39,19 @@ FaultPlan::validate() const
 FaultPlan
 FaultPlan::fromConfig(const Config& cfg)
 {
+    // toConfig echoes exactly the keys read below.  Any other faults.*
+    // key is retired or misspelt and must not leave the run silently
+    // clean.
+    Config known;
+    FaultPlan{}.toConfig(known);
+    for (const std::string& key : cfg.keys()) {
+        if (key.rfind("faults.", 0) != 0 || known.has(key))
+            continue;
+        std::string reads;
+        for (const std::string& k : known.keys())
+            reads += (reads.empty() ? "" : ", ") + k;
+        fatal("FaultPlan: unknown key '", key, "' (reads: ", reads, ")");
+    }
     FaultPlan plan;
     plan.seed = cfg.getUint("faults.seed", plan.seed);
     plan.dropQuantumRate =
@@ -56,8 +67,6 @@ FaultPlan::fromConfig(const Config& cfg)
                       plan.corruptContextRate);
     plan.bloomAliasRate =
         cfg.getDouble("faults.bloom_alias", plan.bloomAliasRate);
-    plan.corruptBatchRate =
-        cfg.getDouble("faults.corrupt_batch", plan.corruptBatchRate);
     plan.saturatePaperWidths =
         cfg.getBool("faults.saturate", plan.saturatePaperWidths);
     plan.snapshotBitFlipRate =
@@ -80,7 +89,6 @@ FaultPlan::toConfig(Config& cfg) const
     cfg.set("faults.reorder_batch", reorderBatchRate);
     cfg.set("faults.corrupt_context", corruptContextRate);
     cfg.set("faults.bloom_alias", bloomAliasRate);
-    cfg.set("faults.corrupt_batch", corruptBatchRate);
     cfg.set("faults.saturate", saturatePaperWidths);
     cfg.set("faults.snap_bit_flip", snapshotBitFlipRate);
     cfg.set("faults.snap_truncate", snapshotTruncateRate);
@@ -104,7 +112,6 @@ FaultPlan::summary() const
     rate("reorder_batch", reorderBatchRate);
     rate("corrupt_context", corruptContextRate);
     rate("bloom_alias", bloomAliasRate);
-    rate("corrupt_batch", corruptBatchRate);
     rate("snap_bit_flip", snapshotBitFlipRate);
     rate("snap_truncate", snapshotTruncateRate);
     rate("snap_clobber_magic", snapshotMagicClobberRate);

@@ -57,10 +57,6 @@ struct FaultPlan
      *  false-positive rate. */
     double bloomAliasRate = 0.0;
 
-    /** P(an analysis batch is corrupted in flight) — exercises the
-     *  daemon's quarantine stage. */
-    double corruptBatchRate = 0.0;
-
     /** Clamp histogram-buffer accumulators and bins at the paper's
      *  16-bit hardware widths (saturation, not wrap). */
     bool saturatePaperWidths = false;
@@ -85,7 +81,8 @@ struct FaultPlan
     void validate() const;
 
     /** Parse the `faults.*` keys of a Config (missing keys keep their
-     *  defaults); validates the result. */
+     *  defaults); validates the result.  A `faults.*` key the plan
+     *  does not read is fatal, naming the keys it does read. */
     static FaultPlan fromConfig(const Config& cfg);
 
     /** Echo the plan into a Config under the `faults.*` keys. */

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "scenario/experiment.hh"
@@ -115,7 +117,15 @@ FleetAuditor::run()
                 persist::snapshotPath(params_.persist), bytes)) {
             ++report.persist.checkpointsWritten;
             report.persist.lastSnapshotBytes = bytes.size();
+        } else {
+            ++report.persist.writeFailures;
         }
+    };
+    // A reset re-opens the journal; a closed one has nothing to reset
+    // and its failed open or append was already counted.
+    const auto resetJournal = [&]() {
+        if (journal.isOpen() && !journal.reset())
+            ++report.persist.writeFailures;
     };
 
     // --- recovery (before any worker starts) ---
@@ -154,6 +164,10 @@ FleetAuditor::run()
     }
 
     if (persistOn) {
+        // A directory that cannot be made shows up as counted write
+        // failures below, not as an error here.
+        std::error_code ec;
+        std::filesystem::create_directories(params_.persist.dir, ec);
         // Fresh journal stamped with this fleet's fingerprint; a
         // resume first compacts whatever it salvaged into a clean
         // snapshot, so the on-disk pair is consistent from here on.
@@ -161,8 +175,9 @@ FleetAuditor::run()
             writeSnapshot(false, nullptr,
                           restoredResponse ? &*restoredResponse
                                            : nullptr);
-        journal.open(persist::journalPath(params_.persist),
-                     persist::encodeMeta(fingerprint, false, 0));
+        if (!journal.open(persist::journalPath(params_.persist),
+                          persist::encodeMeta(fingerprint, false, 0)))
+            ++report.persist.writeFailures;
     }
 
     using Queue = BoundedQueue<TenantAlarmBatch>;
@@ -195,10 +210,12 @@ FleetAuditor::run()
                         ++report.persist.journalAppends;
                         report.persist.journalBytes +=
                             journal.bytesWritten() - before;
+                        ++persistedThisRun;
+                    } else {
+                        ++report.persist.writeFailures;
                     }
                     completed.push_back(*batch);
                     ++sinceCheckpoint;
-                    ++persistedThisRun;
                     const std::size_t interval =
                         params_.persist.checkpointIntervalBatches;
                     if (interval != 0 && sinceCheckpoint >= interval) {
@@ -206,14 +223,14 @@ FleetAuditor::run()
                                       restoredResponse
                                           ? &*restoredResponse
                                           : nullptr);
-                        journal.reset();
+                        resetJournal();
                         sinceCheckpoint = 0;
                     }
                     if (crashAfter != 0 &&
                         persistedThisRun >= crashAfter) {
-                        // The Nth batch is durable; the "process"
-                        // dies here.  Later batches are dropped, the
-                        // run never finalizes.
+                        // The Nth journaled batch is durable; the
+                        // "process" dies here.  Later batches are
+                        // dropped, the run never finalizes.
                         crashed.store(true,
                                       std::memory_order_release);
                         journal.close();
@@ -389,7 +406,7 @@ FleetAuditor::run()
                 writeSnapshot(true, &report.incidents,
                               restoredResponse ? &*restoredResponse
                                                : nullptr);
-            journal.reset(); // the snapshot absorbed every batch
+            resetJournal(); // the snapshot absorbed every batch
             journal.close();
         }
     } else {

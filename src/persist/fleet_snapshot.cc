@@ -50,10 +50,6 @@ putDegraded(ByteWriter& w, const DegradedStats& d)
     w.u64(d.saturatedBinEvents);
     w.u64(d.accumulatorSaturations);
     w.u64(d.unmergeUnderflows);
-    w.u64(d.quarantinedBatches);
-    w.u64(d.quarantineBadLabel);
-    w.u64(d.quarantineBinMismatch);
-    w.u64(d.quarantineSlotRange);
     w.u64(d.degradedAlarms);
     w.f64(d.minAlarmConfidence);
     w.f64(d.windowCoverage);
@@ -72,10 +68,6 @@ getDegraded(ByteReader& r, DegradedStats& d)
     d.saturatedBinEvents = r.u64();
     d.accumulatorSaturations = r.u64();
     d.unmergeUnderflows = r.u64();
-    d.quarantinedBatches = r.u64();
-    d.quarantineBadLabel = r.u64();
-    d.quarantineBinMismatch = r.u64();
-    d.quarantineSlotRange = r.u64();
     d.degradedAlarms = r.u64();
     d.minAlarmConfidence = r.f64();
     d.windowCoverage = r.f64();

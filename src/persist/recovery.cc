@@ -59,6 +59,8 @@ persistStatEntries(const PersistStats& stats,
         "batch records journaled");
     add("journalBytes", static_cast<double>(stats.journalBytes),
         "bytes written to the journal");
+    add("writeFailures", static_cast<double>(stats.writeFailures),
+        "failed journal opens/appends and snapshot writes");
     add("restoredSnapshot",
         static_cast<double>(stats.restoredFromSnapshot),
         "batches recovered from the snapshot");

@@ -73,6 +73,10 @@ struct PersistStats
     std::uint64_t journalAppends = 0;     //!< records journaled
     std::uint64_t journalBytes = 0;       //!< bytes journaled
 
+    /** Failed journal opens and appends plus failed snapshot writes:
+     *  state the run meant to make durable and could not. */
+    std::uint64_t writeFailures = 0;
+
     std::uint64_t restoredFromSnapshot = 0; //!< batches, via snapshot
     std::uint64_t restoredFromJournal = 0;  //!< batches, via journal
     std::uint64_t restoredTenants = 0; //!< distinct tenants recovered

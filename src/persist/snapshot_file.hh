@@ -35,7 +35,7 @@ constexpr std::uint64_t kSnapshotMagic = 0x2170616e73686363ull;
 
 /** Current format version.  Readers refuse every other version: no
  *  older layout is decodable by this reader. */
-constexpr std::uint32_t kSnapshotVersion = 2;
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** Why a persisted file (or its tail) was refused. */
 enum class SnapshotDefect : std::uint8_t

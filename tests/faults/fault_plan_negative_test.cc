@@ -1,9 +1,10 @@
 /**
  * @file
  * Negative tests for `faults.*` configuration: every malformed or
- * out-of-range value must land in the documented error taxonomy — the
- * fatal() message names the offending key and value — rather than a
- * generic throw or a silently clamped plan.
+ * out-of-range value and every key the plan does not read must land in
+ * the documented error taxonomy — the fatal() message names the
+ * offending key — rather than a generic throw, a silently clamped plan
+ * or a silently ignored knob.
  */
 
 #include <gtest/gtest.h>
@@ -39,8 +40,8 @@ TEST(FaultPlanNegativeTest, EveryRateKeyRejectsOutOfRangeValues)
         "faults.drop_quantum",  "faults.dup_quantum",
         "faults.truncate_batch", "faults.reorder_batch",
         "faults.corrupt_context", "faults.bloom_alias",
-        "faults.corrupt_batch",  "faults.snap_bit_flip",
-        "faults.snap_truncate",  "faults.snap_clobber_magic",
+        "faults.snap_bit_flip",  "faults.snap_truncate",
+        "faults.snap_clobber_magic",
     };
     for (const char* key : keys) {
         for (const double bad : {-0.01, 1.01, 7.0}) {
@@ -87,11 +88,36 @@ TEST(FaultPlanNegativeTest, BoundaryRatesAreAccepted)
     // over-reject the closed interval's endpoints.
     Config cfg;
     cfg.set("faults.drop_quantum", 0.0);
-    cfg.set("faults.corrupt_batch", 1.0);
+    cfg.set("faults.bloom_alias", 1.0);
     const FaultPlan plan = FaultPlan::fromConfig(cfg);
     EXPECT_EQ(plan.dropQuantumRate, 0.0);
-    EXPECT_EQ(plan.corruptBatchRate, 1.0);
+    EXPECT_EQ(plan.bloomAliasRate, 1.0);
     EXPECT_TRUE(plan.enabled());
+}
+
+TEST(FaultPlanNegativeTest, UnreadKeyIsFatalAndNamesTheReadKeys)
+{
+    // A retired knob (faults.corrupt_batch) or a misspelt one must stop
+    // the run rather than leave it silently clean; keys outside the
+    // faults.* namespace belong to other parsers and pass through.
+    for (const char* key : {"faults.corrupt_batch", "faults.drop_quanta"}) {
+        Config cfg;
+        cfg.set(key, 0.5);
+        cfg.set("evasion.strategy", std::string("gaps"));
+        const std::string msg =
+            fatalMessageOf([&] { FaultPlan::fromConfig(cfg); });
+        EXPECT_NE(msg.find(std::string("unknown key '") + key + "'"),
+                  std::string::npos)
+            << msg;
+        for (const char* read :
+             {"faults.seed", "faults.drop_quantum", "faults.saturate",
+              "faults.snap_clobber_magic"})
+            EXPECT_NE(msg.find(read), std::string::npos)
+                << read << " got: " << msg;
+    }
+    Config other;
+    other.set("evasion.strategy", std::string("gaps"));
+    EXPECT_FALSE(FaultPlan::fromConfig(other).enabled());
 }
 
 TEST(FaultPlanNegativeTest, RoundTripThroughConfigIsLossless)

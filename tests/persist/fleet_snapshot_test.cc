@@ -1,10 +1,10 @@
 /**
  * @file
- * Snapshot-format (v2) tests: payload round-trips for tenant batches,
+ * Snapshot-format (v3) tests: payload round-trips for tenant batches,
  * incident stores and meta records; whole-checkpoint encode/decode;
  * structural-inconsistency rejection; future-version rejection; the
  * registry fingerprint contract; and a golden byte fixture pinning the
- * v2 wire format so an accidental layout change cannot slip through.
+ * v3 wire format so an accidental layout change cannot slip through.
  */
 
 #include <gtest/gtest.h>
@@ -65,8 +65,6 @@ makeBatch(TenantId tenant)
     batch.degraded.saturatedBinEvents = 8;
     batch.degraded.accumulatorSaturations = 1;
     batch.degraded.unmergeUnderflows = 1;
-    batch.degraded.quarantinedBatches = 1;
-    batch.degraded.quarantineBadLabel = 1;
     batch.degraded.degradedAlarms = 2;
     batch.degraded.minAlarmConfidence = 0.5;
     batch.degraded.windowCoverage = 0.953125;
@@ -334,27 +332,27 @@ TEST(FleetSnapshotTest, RegistryFingerprintIsStableAndSensitive)
                      TenantRegistry::synthetic(otherCadence)));
 }
 
-TEST(FleetSnapshotTest, GoldenV2HeaderBytesArePinned)
+TEST(FleetSnapshotTest, GoldenV3HeaderBytesArePinned)
 {
-    // The first 12 bytes of every v2 file: magic "cchsnap!" (stored
-    // little-endian) then version 2.  Changing either is a format
+    // The first 12 bytes of every v3 file: magic "cchsnap!" (stored
+    // little-endian) then version 3.  Changing either is a format
     // break and must be a conscious version bump, not an accident.
     const std::vector<std::uint8_t> bytes =
         encodeFleetCheckpoint(FleetCheckpoint{});
     ASSERT_GE(bytes.size(), 12u);
     const std::uint8_t golden[12] = {0x63, 0x63, 0x68, 0x73, 0x6e,
-                                     0x61, 0x70, 0x21, 0x02, 0x00,
+                                     0x61, 0x70, 0x21, 0x03, 0x00,
                                      0x00, 0x00};
     for (std::size_t i = 0; i < 12; ++i)
         EXPECT_EQ(bytes[i], golden[i]) << "offset " << i;
 }
 
-TEST(FleetSnapshotTest, GoldenV1CheckpointBytesAreStable)
+TEST(FleetSnapshotTest, GoldenV3CheckpointBytesAreStable)
 {
     // Full-image determinism: encoding the same logical checkpoint
     // twice (fresh objects both times) must produce identical bytes,
     // and the FNV of those bytes pins the record layout — if this
-    // hash moves, the v2 wire format changed.
+    // hash moves, the v3 wire format changed.
     FleetCheckpoint checkpoint;
     checkpoint.registryFingerprint = 0x1234567890ABCDEFull;
     checkpoint.finalized = false;
@@ -369,5 +367,5 @@ TEST(FleetSnapshotTest, GoldenV1CheckpointBytesAreStable)
     const std::vector<std::uint8_t> second =
         encodeFleetCheckpoint(again);
     EXPECT_EQ(first, second);
-    EXPECT_EQ(fnv1a64(first.data(), first.size()), 0x9554ca086cd03a97ull);
+    EXPECT_EQ(fnv1a64(first.data(), first.size()), 0x4371a35ff8129a79ull);
 }

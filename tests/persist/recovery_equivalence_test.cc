@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,29 +106,40 @@ class RecoveryEquivalenceTest : public testing::Test
 };
 
 /**
- * Rewrite a persisted file in the version-1 layout, in which every
- * tenant batch carried three more u64 pipeline counters right after
- * evictedConflicts.  Returns the number of batch records rewritten.
+ * Rewrite a persisted file in an older layout.  In version 2 every
+ * tenant batch carried four more u64 quarantine counters right after
+ * unmergeUnderflows; version 1 also carried three more u64 pipeline
+ * counters right after evictedConflicts.  Returns the number of batch
+ * records rewritten.
  */
 std::size_t
-rewriteAsVersion1(const std::string& path, ReadMode mode)
+rewriteAsVersion(const std::string& path, ReadMode mode,
+                 std::uint32_t version)
 {
     const RecordFileContents contents = readRecordFile(path, mode);
     EXPECT_TRUE(contents.clean()) << path;
     // Kind byte, u32 tenant, three u64s (shard, quanta, offline
     // detections), then the four drain/evict counters.
     constexpr std::size_t kAfterEvictedConflicts = 1 + 4 + 3 * 8 + 4 * 8;
+    // Then analysesRun, three f64 latencies and the ten degraded
+    // counters up to unmergeUnderflows.
+    constexpr std::size_t kAfterUnmergeUnderflows =
+        kAfterEvictedConflicts + 4 * 8 + 10 * 8;
     ByteWriter header;
     header.u64(kSnapshotMagic);
-    header.u32(1);
+    header.u32(version);
     std::vector<std::uint8_t> bytes = header.take();
     std::size_t batches = 0;
     for (std::vector<std::uint8_t> payload : contents.records) {
         if (!payload.empty() &&
             payload.front() ==
                 static_cast<std::uint8_t>(RecordKind::TenantBatch)) {
-            payload.insert(payload.begin() + kAfterEvictedConflicts,
-                           3 * 8, 0);
+            // The later offset first, so the earlier one holds.
+            payload.insert(payload.begin() + kAfterUnmergeUnderflows,
+                           4 * 8, 0);
+            if (version == 1)
+                payload.insert(payload.begin() + kAfterEvictedConflicts,
+                               3 * 8, 0);
             ++batches;
         }
         appendFramedRecord(bytes, payload);
@@ -399,27 +411,78 @@ TEST_F(RecoveryEquivalenceTest, FutureVersionSnapshotColdStartsThatFile)
 
 TEST_F(RecoveryEquivalenceTest, ParentLayoutFilesAreRefusedAsVersionSkew)
 {
-    // A checkpoint and a journal in the version-1 layout, stamped with
+    // A checkpoint and a journal in each older layout, stamped with
     // this fleet's own fingerprint: both are refused under the version
     // defect, nothing is restored, and the resume re-audits the whole
     // fleet to the same stream.
-    ASSERT_TRUE(crashRun(2, 5).crashed);
     const PersistPolicy policy{.dir = dir_.string()};
-    // Checkpoint after batch 3; batches 4 and 5 in the journal.
-    EXPECT_EQ(rewriteAsVersion1(snapshotPath(policy), ReadMode::Snapshot),
-              3u);
-    EXPECT_EQ(rewriteAsVersion1(journalPath(policy), ReadMode::Journal),
-              2u);
+    for (const std::uint32_t version : {1u, 2u}) {
+        SCOPED_TRACE(version);
+        ASSERT_TRUE(crashRun(2, 5).crashed);
+        // Checkpoint after batch 3; batches 4 and 5 in the journal.
+        EXPECT_EQ(rewriteAsVersion(snapshotPath(policy),
+                                   ReadMode::Snapshot, version),
+                  3u);
+        EXPECT_EQ(rewriteAsVersion(journalPath(policy), ReadMode::Journal,
+                                   version),
+                  2u);
 
-    const FleetAuditReport resumed = resumeRun(2);
+        const FleetAuditReport resumed = resumeRun(2);
+        EXPECT_FALSE(resumed.crashed);
+        EXPECT_EQ(resumed.persist.defects.unknownVersion, 2u);
+        EXPECT_EQ(resumed.persist.defects.total(), 2u);
+        EXPECT_EQ(resumed.persist.registryMismatches, 0u);
+        EXPECT_EQ(resumed.persist.restoredTenants, 0u);
+        EXPECT_EQ(resumed.persist.coldStarts, 1u);
+        EXPECT_EQ(resumed.tenantsAudited, kFleetTenants);
+        EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
+    }
+}
+
+TEST_F(RecoveryEquivalenceTest, MissingNestedDirIsCreatedAndJournaled)
+{
+    // persist.dir names a directory two levels below one that exists:
+    // the run makes it, journals every batch up to the kill, and the
+    // resume restores them and finishes on the same stream.
+    FleetAuditParams p = params(2, 1);
+    p.persist.dir = (dir_ / "state" / "fleet").string();
+    p.simulateCrashAfterBatches = 5;
+    const FleetAuditReport crashed = runFleet(p);
+    ASSERT_TRUE(crashed.crashed);
+    EXPECT_EQ(crashed.persist.journalAppends, 5u);
+    EXPECT_EQ(crashed.persist.writeFailures, 0u);
+
+    p.simulateCrashAfterBatches = 0;
+    p.persist.resume = true;
+    const FleetAuditReport resumed = runFleet(p);
     EXPECT_FALSE(resumed.crashed);
-    EXPECT_EQ(resumed.persist.defects.unknownVersion, 2u);
-    EXPECT_EQ(resumed.persist.defects.total(), 2u);
-    EXPECT_EQ(resumed.persist.registryMismatches, 0u);
-    EXPECT_EQ(resumed.persist.restoredTenants, 0u);
-    EXPECT_EQ(resumed.persist.coldStarts, 1u);
-    EXPECT_EQ(resumed.tenantsAudited, kFleetTenants);
+    EXPECT_EQ(resumed.persist.restoredTenants, 5u);
+    EXPECT_EQ(resumed.persist.coldStarts, 0u);
+    EXPECT_EQ(resumed.persist.writeFailures, 0u);
     EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
+}
+
+TEST_F(RecoveryEquivalenceTest, UnwritableDirCountsFailuresAndNeverCrashes)
+{
+    // persist.dir is a regular file, so nothing can be journaled or
+    // snapshotted.  Every failed write is counted, the kill switch
+    // (which counts journaled batches only) never fires, and the audit
+    // still ends on the golden stream.
+    const std::filesystem::path file = dir_ / "not_a_dir";
+    std::ofstream(file) << "x";
+    FleetAuditParams p = params(2, 1);
+    p.persist.dir = file.string();
+    p.simulateCrashAfterBatches = 3;
+    const FleetAuditReport report = runFleet(p);
+    EXPECT_FALSE(report.crashed);
+    EXPECT_EQ(report.persist.journalAppends, 0u);
+    EXPECT_EQ(report.persist.checkpointsWritten, 0u);
+    // The journal open, every append, and the two interval snapshots
+    // plus the final one.
+    EXPECT_EQ(report.persist.writeFailures, 1u + kFleetTenants + 3u);
+    EXPECT_TRUE(hasStat(report.statEntries(), "persist.writeFailures"));
+    EXPECT_EQ(report.tenantsAudited, kFleetTenants);
+    EXPECT_EQ(report.incidents.streamHash(), kGoldenHash);
 }
 
 TEST_F(RecoveryEquivalenceTest, ForeignFleetSnapshotIsRefused)
