@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "scenario/experiment.hh"
 #include "util/config.hh"
@@ -18,10 +19,12 @@
 
 using namespace cchunter;
 
-int
-main(int argc, char** argv)
+namespace
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+
+int
+run(const Config& cfg)
+{
     ScenarioOptions opts;
     opts.quanta = cfg.getUint("quanta", 3);
     opts.quantum = cfg.getUint("quantum", 125000000);
@@ -82,4 +85,16 @@ main(int argc, char** argv)
         std::printf("degraded (all pairs): %s\n",
                     degraded.summary().c_str());
     return total_alarms == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(Config::fromArgs(argc, argv));
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the bad setting
+    }
 }

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "scenario/experiment.hh"
 #include "util/config.hh"
@@ -18,11 +19,12 @@
 
 using namespace cchunter;
 
-int
-main(int argc, char** argv)
+namespace
 {
-    const Config cfg = Config::fromArgs(argc, argv);
 
+int
+run(const Config& cfg)
+{
     const FaultPlan fault_plan = FaultPlan::fromConfig(cfg);
 
     TableWriter table({"bandwidth (bps)", "locks", "burst peak bin",
@@ -71,4 +73,16 @@ main(int argc, char** argv)
         std::printf("degraded (all sweeps): %s\n",
                     degraded.summary().c_str());
     return all_detected ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(Config::fromArgs(argc, argv));
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the bad setting
+    }
 }

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "respond/residual.hh"
 #include "util/config.hh"
@@ -19,10 +20,12 @@
 
 using namespace cchunter;
 
-int
-main(int argc, char** argv)
+namespace
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+
+int
+run(const Config& cfg)
+{
     OnlineAuditOptions options;
     options.workload = AuditedWorkload::Divider;
     options.scenario.quanta = cfg.getUint("quanta", 8);
@@ -90,4 +93,16 @@ main(int argc, char** argv)
     std::printf("\nquarantine kills the channel outright; "
                 "temporal partitioning halves it for half the tax.\n");
     return mitigated.response.engaged ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(Config::fromArgs(argc, argv));
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the bad setting
+    }
 }

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "scenario/experiment.hh"
 #include "util/ascii_plot.hh"
@@ -22,10 +23,12 @@
 
 using namespace cchunter;
 
-int
-main(int argc, char** argv)
+namespace
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+
+int
+run(const Config& cfg)
+{
     ScenarioOptions opts;
     opts.bandwidthBps = cfg.getDouble("bandwidth", 1000.0);
     opts.channelSets = cfg.getUint("sets", 512);
@@ -78,4 +81,16 @@ main(int argc, char** argv)
                 "each other once per set per bit.\n",
                 verdict.analysis.dominantLag, opts.channelSets);
     return verdict.detected ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(Config::fromArgs(argc, argv));
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the bad setting
+    }
 }

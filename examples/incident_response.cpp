@@ -17,6 +17,7 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "auditor/cc_auditor.hh"
 #include "auditor/daemon.hh"
@@ -31,10 +32,12 @@
 
 using namespace cchunter;
 
-int
-main(int argc, char** argv)
+namespace
 {
-    const Config cfg = Config::fromArgs(argc, argv);
+
+int
+run(const Config& cfg)
+{
     const std::size_t quanta = cfg.getUint("quanta", 6);
     const std::size_t sets = cfg.getUint("sets", 256);
     const std::uint64_t seed = cfg.getUint("seed", 9);
@@ -153,4 +156,16 @@ main(int argc, char** argv)
     const bool severed = !after.detected;
     std::printf("\nchannel severed: %s\n", severed ? "yes" : "no");
     return severed ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(Config::fromArgs(argc, argv));
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the bad setting
+    }
 }

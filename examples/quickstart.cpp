@@ -31,16 +31,13 @@
 
 using namespace cchunter;
 
-int
-main(int argc, char** argv)
+namespace
 {
-    const Config cfg = Config::fromArgs(argc, argv);
-    FaultPlan fault_plan;
-    try {
-        fault_plan = FaultPlan::fromConfig(cfg);
-    } catch (const std::runtime_error&) {
-        return 2; // fatal() has already reported the key
-    }
+
+int
+run(const Config& cfg)
+{
+    const FaultPlan fault_plan = FaultPlan::fromConfig(cfg);
     // 1. The machine: a quad-core SMT processor at 2.5 GHz (the
     //    paper's evaluation platform).  Default parameters throughout.
     Machine machine;
@@ -118,4 +115,16 @@ main(int argc, char** argv)
                 verdict.detected ? "DETECTED" : "missed",
                 verdict.combined.likelihoodRatio);
     return verdict.detected ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(Config::fromArgs(argc, argv));
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the bad setting
+    }
 }

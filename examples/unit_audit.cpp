@@ -17,17 +17,19 @@
  */
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "scenario/experiment.hh"
 #include "util/config.hh"
 
 using namespace cchunter;
 
-int
-main(int argc, char** argv)
+namespace
 {
-    const Config cfg = Config::fromArgs(argc, argv);
 
+int
+run(const Config& cfg)
+{
     OnlineAuditOptions options;
     options.workload =
         auditedWorkloadFromName(cfg.getString("workload", "tlb"));
@@ -80,4 +82,16 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(r.quantaRecorded),
                 r.pipeline.summary().c_str());
     return detected ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    try {
+        return run(Config::fromArgs(argc, argv));
+    } catch (const std::runtime_error&) {
+        return 2; // fatal() has already reported the bad setting
+    }
 }

@@ -63,7 +63,7 @@ void autocorrelogramFft(const std::vector<double>& series,
 
 /**
  * Correlograms of many series through one shared plan and scratch
- * arena (the fleet's per-shard batched pass).  Each series is
+ * arena (the fleet's per-tenant deferred pass).  Each series is
  * dispatched exactly as autocorrelogram() would dispatch it (naive
  * below the FFT thresholds), and each result is bit-identical to the
  * corresponding independent call — batching shares the twiddle

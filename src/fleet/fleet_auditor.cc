@@ -113,16 +113,29 @@ FleetAuditor::run()
         const std::vector<std::uint8_t> bytes =
             persist::encodeFleetCheckpoint(checkpoint,
                                            params_.rateLimit);
-        if (persist::writeFileAtomic(
+        if (!persist::writeFileAtomic(
                 persist::snapshotPath(params_.persist), bytes)) {
-            ++report.persist.checkpointsWritten;
-            report.persist.lastSnapshotBytes = bytes.size();
-        } else {
             ++report.persist.writeFailures;
+            return false;
         }
+        ++report.persist.checkpointsWritten;
+        report.persist.lastSnapshotBytes = bytes.size();
+        return true;
+    };
+    const auto journalBatch = [&](const TenantAlarmBatch& batch) {
+        const std::uint64_t before = journal.bytesWritten();
+        if (!journal.append(persist::encodeTenantBatch(batch))) {
+            ++report.persist.writeFailures;
+            return false;
+        }
+        ++report.persist.journalAppends;
+        report.persist.journalBytes += journal.bytesWritten() - before;
+        return true;
     };
     // A reset re-opens the journal; a closed one has nothing to reset
-    // and its failed open or append was already counted.
+    // and its failed open or append was already counted.  Call it only
+    // after a snapshot landed: until then the journal is the one
+    // durable copy of its batches.
     const auto resetJournal = [&]() {
         if (journal.isOpen() && !journal.reset())
             ++report.persist.writeFailures;
@@ -171,13 +184,19 @@ FleetAuditor::run()
         // Fresh journal stamped with this fleet's fingerprint; a
         // resume first compacts whatever it salvaged into a clean
         // snapshot, so the on-disk pair is consistent from here on.
-        if (params_.persist.resume)
+        // Opening truncates the old journal, so when that snapshot is
+        // refused the new journal carries the salvaged batches again.
+        const bool compacted =
+            params_.persist.resume &&
             writeSnapshot(false, nullptr,
                           restoredResponse ? &*restoredResponse
                                            : nullptr);
         if (!journal.open(persist::journalPath(params_.persist),
                           persist::encodeMeta(fingerprint, false, 0)))
             ++report.persist.writeFailures;
+        else if (!compacted)
+            for (const TenantAlarmBatch& batch : completed)
+                journalBatch(batch);
     }
 
     using Queue = BoundedQueue<TenantAlarmBatch>;
@@ -203,27 +222,20 @@ FleetAuditor::run()
                     std::lock_guard<std::mutex> lock(persistMutex);
                     if (crashed.load(std::memory_order_acquire))
                         continue;
-                    const std::uint64_t before =
-                        journal.bytesWritten();
-                    if (journal.append(
-                            persist::encodeTenantBatch(*batch))) {
-                        ++report.persist.journalAppends;
-                        report.persist.journalBytes +=
-                            journal.bytesWritten() - before;
+                    if (journalBatch(*batch))
                         ++persistedThisRun;
-                    } else {
-                        ++report.persist.writeFailures;
-                    }
                     completed.push_back(*batch);
                     ++sinceCheckpoint;
                     const std::size_t interval =
                         params_.persist.checkpointIntervalBatches;
                     if (interval != 0 && sinceCheckpoint >= interval) {
-                        writeSnapshot(false, nullptr,
-                                      restoredResponse
-                                          ? &*restoredResponse
-                                          : nullptr);
-                        resetJournal();
+                        // A refused snapshot keeps the journal and
+                        // waits a full interval before the next try.
+                        if (writeSnapshot(false, nullptr,
+                                          restoredResponse
+                                              ? &*restoredResponse
+                                              : nullptr))
+                            resetJournal();
                         sinceCheckpoint = 0;
                     }
                     if (crashAfter != 0 &&
@@ -253,29 +265,12 @@ FleetAuditor::run()
                 collector.join();
     };
 
-    std::vector<std::uint64_t> shardBatchedSeries(shards, 0);
-
+    // Each tenant's batch goes to the collector as soon as its audit
+    // (and, with batching on, its deferred transforms) is done, so a
+    // kill loses at most the hand-off queue's depth of simulated
+    // tenants per shard.  Alarms — and hence incidents — are
+    // identical with batching on or off.
     const auto runShard = [&](std::size_t s) {
-        const auto detectedOf =
-            [](const std::vector<UnitOutcome>& verdicts) {
-                std::uint64_t detected = 0;
-                for (const UnitOutcome& unit : verdicts)
-                    detected += unit.detected ? 1 : 0;
-                return detected;
-            };
-
-        // With batching on, tenants defer their end-of-run cache
-        // transforms; the shard resolves all of them in one planned
-        // FFT pass after its last tenant, then hands the staged
-        // batches off.  Alarms — and hence incidents — are identical
-        // either way.
-        std::vector<TenantAlarmBatch> staged;
-        std::vector<std::vector<UnitOutcome>> stagedVerdicts;
-        if (params_.batchedFft) {
-            staged.reserve(plan[s].size());
-            stagedVerdicts.reserve(plan[s].size());
-        }
-
         for (std::size_t i = 0; i < plan[s].size(); ++i) {
             if (crashed.load(std::memory_order_acquire))
                 break;
@@ -288,6 +283,15 @@ FleetAuditor::run()
                     params_.analysisThreads;
             options.deferOscillationVerdicts = params_.batchedFft;
             OnlineAuditResult result = runOnlineAudit(options);
+            ++report.shards[s].tenantsRun;
+            if (params_.batchedFft) {
+                std::vector<UnitOutcome*> pending;
+                for (UnitOutcome& unit : result.finalVerdicts)
+                    if (unit.deferredOscillation)
+                        pending.push_back(&unit);
+                report.shards[s].batchedSeries +=
+                    finalizeDeferredOscillations(pending);
+            }
             TenantAlarmBatch batch;
             batch.tenant = id;
             batch.shard = s;
@@ -295,32 +299,9 @@ FleetAuditor::run()
             batch.pipeline = result.pipeline;
             batch.degraded = result.degraded;
             batch.quantaRecorded = result.quantaRecorded;
-            if (params_.batchedFft) {
-                staged.push_back(std::move(batch));
-                stagedVerdicts.push_back(
-                    std::move(result.finalVerdicts));
-            } else {
-                batch.offlineDetectedUnits =
-                    detectedOf(result.finalVerdicts);
-                queues[s]->push(std::move(batch));
-            }
-        }
-
-        if (params_.batchedFft) {
-            std::vector<UnitOutcome*> pending;
-            for (std::vector<UnitOutcome>& verdicts : stagedVerdicts)
-                for (UnitOutcome& unit : verdicts)
-                    if (unit.deferredOscillation)
-                        pending.push_back(&unit);
-            shardBatchedSeries[s] +=
-                finalizeDeferredOscillations(pending);
-            for (std::size_t i = 0; i < staged.size(); ++i) {
-                if (crashed.load(std::memory_order_acquire))
-                    break;
-                staged[i].offlineDetectedUnits =
-                    detectedOf(stagedVerdicts[i]);
-                queues[s]->push(std::move(staged[i]));
-            }
+            for (const UnitOutcome& unit : result.finalVerdicts)
+                batch.offlineDetectedUnits += unit.detected ? 1 : 0;
+            queues[s]->push(std::move(batch));
         }
     };
 
@@ -402,11 +383,11 @@ FleetAuditor::run()
 
         if (persistOn) {
             std::lock_guard<std::mutex> lock(persistMutex);
-            if (params_.persist.finalSnapshot)
+            if (params_.persist.finalSnapshot &&
                 writeSnapshot(true, &report.incidents,
                               restoredResponse ? &*restoredResponse
-                                               : nullptr);
-            resetJournal(); // the snapshot absorbed every batch
+                                               : nullptr))
+                resetJournal(); // the snapshot absorbed every batch
             journal.close();
         }
     } else {
@@ -419,9 +400,7 @@ FleetAuditor::run()
     report.pipeline = aggregator.pipeline();
     report.degraded = aggregator.degraded();
     for (std::size_t s = 0; s < shards; ++s) {
-        report.shards[s].batchesPushed = queues[s]->pushed();
         report.shards[s].queueHighWater = queues[s]->highWaterMark();
-        report.shards[s].batchedSeries = shardBatchedSeries[s];
         report.quantaTotal += shardQuanta[s];
     }
     return report;
@@ -457,12 +436,12 @@ FleetAuditReport::statEntries() const
         entries.push_back({prefix + "tenants",
                            static_cast<double>(shard.tenants),
                            "tenants assigned to this shard"});
+        entries.push_back({prefix + "run",
+                           static_cast<double>(shard.tenantsRun),
+                           "tenants this run audited and handed off"});
         entries.push_back({prefix + "alarms",
                            static_cast<double>(shard.alarms),
                            "raw alarms collected on this shard"});
-        entries.push_back({prefix + "batches",
-                           static_cast<double>(shard.batchesPushed),
-                           "batches through the hand-off queue"});
         entries.push_back({prefix + "queueHighWater",
                            static_cast<double>(shard.queueHighWater),
                            "deepest hand-off backlog"});

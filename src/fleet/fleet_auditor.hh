@@ -120,11 +120,11 @@ struct FleetAuditParams
     std::size_t analysisThreads = 0;
 
     /**
-     * Batch each shard's end-of-run oscillation transforms: tenants
-     * run with deferred cache verdicts, and the shard worker resolves
-     * every deferred series in one planned FFT pass (shared twiddle
-     * tables, one scratch arena) after its last tenant finishes.
-     * Outcomes are identical to independent transforms — incidents
+     * Run tenants with deferred end-of-run cache verdicts: the shard
+     * worker resolves each tenant's deferred series through
+     * finalizeDeferredOscillations (the thread's cached FFT plans)
+     * right after that tenant's audit, before handing its batch off.
+     * Outcomes are identical to the inline transforms — incidents
      * derive from the (unaffected) alarm stream either way, so the
      * cross-shard bit-identity contract is preserved.  Config key:
      * `fleet.batchedFft`.
@@ -163,8 +163,8 @@ struct ShardStats
 {
     std::size_t shard = 0;
     std::size_t tenants = 0;         //!< tenants assigned by the plan
+    std::uint64_t tenantsRun = 0;    //!< tenants audited, handed off
     std::uint64_t alarms = 0;        //!< raw alarms collected
-    std::uint64_t batchesPushed = 0; //!< batches through the queue
     std::size_t queueHighWater = 0;  //!< deepest hand-off backlog
     std::uint64_t offlineDetected = 0; //!< end-of-run unit detections
     std::uint64_t batchedSeries = 0; //!< series through the batched FFT

@@ -36,9 +36,11 @@ struct PersistPolicy
     std::string dir;
 
     /**
-     * Rewrite the snapshot (and reset the journal) every this many
-     * ingested batches.  0 journals every batch but never compacts
-     * mid-run; recovery then replays the journal alone.
+     * Rewrite the snapshot every this many ingested batches; the
+     * journal is reset only when the snapshot lands, and a refused
+     * one is retried a full interval later.  0 journals every batch
+     * but never compacts mid-run; recovery then replays the journal
+     * alone.
      */
     std::size_t checkpointIntervalBatches = 4;
 
@@ -46,7 +48,9 @@ struct PersistPolicy
     bool resume = false;
 
     /** Write a finalized snapshot (batches + scored incidents) after
-     *  a successful run. */
+     *  a successful run.  Without it the run keeps its journal, so a
+     *  resume restores every batch from the last checkpoint plus the
+     *  journal. */
     bool finalSnapshot = true;
 
     bool enabled() const { return !dir.empty(); }

@@ -191,10 +191,10 @@ struct OnlineAuditOptions
      * the final full-window transform per cache slot inside the run,
      * carry the retained label series (and the oscillation params the
      * run would have used) in the UnitOutcome for a later
-     * finalizeDeferredOscillations() pass.  This is what lets the
-     * fleet auditor batch the final transforms of a whole shard
-     * through one shared FFT plan; outcomes are identical to the
-     * undeferred path.  Alarms are unaffected either way.
+     * finalizeDeferredOscillations() pass, which the fleet auditor
+     * runs on each tenant's outcomes before handing its batch off;
+     * outcomes are identical to the undeferred path.  Alarms are
+     * unaffected either way.
      */
     bool deferOscillationVerdicts = false;
 };

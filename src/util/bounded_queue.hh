@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -57,7 +56,6 @@ class BoundedQueue
         if (closed_)
             return false;
         queue_.push_back(std::move(item));
-        ++pushed_;
         highWater_ = std::max(highWater_, queue_.size());
         notEmpty_.notify_one();
         return true;
@@ -99,14 +97,6 @@ class BoundedQueue
         return highWater_;
     }
 
-    /** Successful pushes so far. */
-    std::uint64_t
-    pushed() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return pushed_;
-    }
-
   private:
     const std::size_t cap_;
     mutable std::mutex mutex_;
@@ -115,7 +105,6 @@ class BoundedQueue
     std::deque<T> queue_;
     bool closed_ = false;
     std::size_t highWater_ = 0;
-    std::uint64_t pushed_ = 0;
 };
 
 } // namespace cchunter

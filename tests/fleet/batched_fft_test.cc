@@ -2,9 +2,10 @@
  * @file
  * Batched fleet FFT equivalence tests.
  *
- * With fleet.batchedFft on, every shard resolves its tenants'
- * end-of-run oscillation transforms through one shared FFT plan and
- * scratch arena.  The incident stream must stay byte-identical to the
+ * With fleet.batchedFft on, every shard resolves each tenant's
+ * deferred end-of-run oscillation transforms through the thread's
+ * cached FFT plan and one scratch arena before handing the tenant's
+ * batch off.  The incident stream must stay byte-identical to the
  * unbatched run — and across shard layouts and per-tenant analysis
  * thread counts — because batching shares twiddle tables and buffers,
  * never the dataflow of one series.

@@ -60,8 +60,8 @@ TEST(FleetAuditorTest, AuditsEveryTenantAndFindsPlantedChannels)
     ASSERT_EQ(report.shards.size(), 2u);
     EXPECT_EQ(report.shards[0].tenants, 2u);
     EXPECT_EQ(report.shards[1].tenants, 2u);
-    EXPECT_EQ(report.shards[0].batchesPushed, 2u);
-    EXPECT_EQ(report.shards[1].batchesPushed, 2u);
+    EXPECT_EQ(report.shards[0].tenantsRun, 2u);
+    EXPECT_EQ(report.shards[1].tenantsRun, 2u);
     // Stat entries carry the two-level shard prefixes.
     const auto entries = report.statEntries();
     bool sawShardEntry = false;

@@ -462,6 +462,120 @@ TEST_F(RecoveryEquivalenceTest, MissingNestedDirIsCreatedAndJournaled)
     EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
 }
 
+TEST_F(RecoveryEquivalenceTest, RefusedSnapshotKeepsTheJournal)
+{
+    // A directory squatting on the snapshot's temporary name makes
+    // every snapshot write fail while the journal still works.  The
+    // journal is then the one durable copy of its batches, so no
+    // refused checkpoint may truncate it.
+    std::filesystem::create_directories(dir_ / "fleet.snapshot.tmp");
+    FleetAuditParams p = params(2, 1);
+    p.simulateCrashAfterBatches = 5;
+    const FleetAuditReport crashed = runFleet(p);
+    ASSERT_TRUE(crashed.crashed);
+    EXPECT_EQ(crashed.persist.journalAppends, 5u);
+    EXPECT_EQ(crashed.persist.checkpointsWritten, 0u);
+    // Interval 3: one checkpoint came due before the kill.
+    EXPECT_EQ(crashed.persist.writeFailures, 1u);
+
+    p.simulateCrashAfterBatches = 0;
+    p.persist.resume = true;
+    const FleetAuditReport resumed = runFleet(p);
+    EXPECT_FALSE(resumed.crashed);
+    EXPECT_EQ(resumed.persist.restoredTenants, 5u);
+    EXPECT_EQ(resumed.persist.coldStarts, 0u);
+    EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
+    // Refused: the resume's compaction, the one checkpoint due after
+    // three new batches, and the final snapshot.  The fresh journal
+    // carries the five salvaged batches and the three new ones.
+    EXPECT_EQ(resumed.persist.writeFailures, 3u);
+    EXPECT_EQ(resumed.persist.checkpointsWritten, 0u);
+    EXPECT_EQ(resumed.persist.journalAppends, kFleetTenants);
+
+    // Nothing was ever snapshotted, so a second resume finds the
+    // whole fleet in the journal and re-audits no tenant.
+    const FleetAuditReport again = runFleet(p);
+    EXPECT_EQ(again.persist.restoredTenants, kFleetTenants);
+    EXPECT_EQ(again.shards[0].tenantsRun + again.shards[1].tenantsRun,
+              0u);
+    EXPECT_EQ(again.incidents.streamHash(), kGoldenHash);
+}
+
+TEST_F(RecoveryEquivalenceTest, NoFinalSnapshotKeepsTheJournal)
+{
+    // Without a final snapshot nothing absorbs the batches journaled
+    // after the last interval checkpoint, so the finished run must
+    // leave them in the journal.
+    FleetAuditParams p = params(2, 1);
+    p.persist.finalSnapshot = false;
+    const FleetAuditReport finished = runFleet(p);
+    ASSERT_FALSE(finished.crashed);
+    // Interval 3: checkpoints after batches 3 and 6, none at the end.
+    EXPECT_EQ(finished.persist.checkpointsWritten, 2u);
+    EXPECT_EQ(finished.persist.writeFailures, 0u);
+
+    p.persist.resume = true;
+    const FleetAuditReport resumed = runFleet(p);
+    EXPECT_EQ(resumed.persist.restoredFromSnapshot, 6u);
+    EXPECT_EQ(resumed.persist.restoredFromJournal, 2u);
+    EXPECT_EQ(resumed.persist.restoredTenants, kFleetTenants);
+    EXPECT_EQ(resumed.shards[0].tenantsRun + resumed.shards[1].tenantsRun,
+              0u);
+    EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
+}
+
+TEST_F(RecoveryEquivalenceTest, KillLosesAtMostTheHandOffQueueDepth)
+{
+    // Each tenant's batch is handed off as soon as it is audited, so
+    // a run killed after K journaled batches has audited at most K
+    // tenants, plus the hand-off queue's capacity, plus the one the
+    // shard worker was running — not the whole shard.  The resume
+    // then audits exactly the tenants that were not recovered.
+    constexpr std::uint64_t kKillAfter = 4;
+    // The hand-off queue's capacity (kBatchQueueCapacity in
+    // src/fleet/fleet_auditor.cc).
+    constexpr std::uint64_t kQueueCapacity = 4;
+    SyntheticFleetOptions fleet;
+    fleet.tenants = 24;
+    fleet.quanta = 4;
+    const TenantRegistry registry = TenantRegistry::synthetic(fleet);
+
+    for (const bool batched : {true, false}) {
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+        FleetAuditParams base;
+        base.shards = 1;
+        base.workerThreads = 2;
+        base.batchedFft = batched;
+        const std::string uninterrupted =
+            FleetAuditor(registry, base).run().incidents.streamText();
+        ASSERT_FALSE(uninterrupted.empty());
+
+        FleetAuditParams p = params(1, 1);
+        p.batchedFft = batched;
+        p.simulateCrashAfterBatches = kKillAfter;
+        const FleetAuditReport killed = FleetAuditor(registry, p).run();
+        ASSERT_TRUE(killed.crashed) << "batched=" << batched;
+        EXPECT_GE(killed.shards[0].tenantsRun, kKillAfter);
+        EXPECT_LE(killed.shards[0].tenantsRun,
+                  kKillAfter + kQueueCapacity + 1)
+            << "batched=" << batched;
+
+        p.simulateCrashAfterBatches = 0;
+        p.persist.resume = true;
+        const FleetAuditReport resumed =
+            FleetAuditor(registry, p).run();
+        EXPECT_FALSE(resumed.crashed);
+        EXPECT_EQ(resumed.persist.restoredTenants, kKillAfter);
+        EXPECT_EQ(resumed.shards[0].tenantsRun,
+                  fleet.tenants - resumed.shards[0].recoveredTenants)
+            << "batched=" << batched;
+        EXPECT_EQ(resumed.incidents.streamText(), uninterrupted)
+            << "batched=" << batched;
+        EXPECT_TRUE(hasStat(resumed.statEntries(), "fleet.shard0.run"));
+    }
+}
+
 TEST_F(RecoveryEquivalenceTest, UnwritableDirCountsFailuresAndNeverCrashes)
 {
     // persist.dir is a regular file, so nothing can be journaled or
