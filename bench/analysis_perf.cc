@@ -24,6 +24,7 @@
 #include "util/ring_buffer.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
+#include "util/stats.hh"
 #include "util/thread_pool.hh"
 
 namespace cchunter
@@ -100,11 +101,64 @@ makeNoisyLabelSeries(std::size_t n)
 }
 
 /**
- * Full correlogram at max_lag = N/2: the direct evaluation is
- * O(N^2/2) here, which is the regime the FFT path exists for.  One
- * iteration keeps the N = 2^18 case (~30 s of O(N^2) work) bounded;
- * compare against BM_AutocorrelogramFftFull at the same N for the
- * speedup (>= 10x required at 2^18).
+ * A frozen copy of the direct correlogram as it stood before its
+ * four-lag blocks: one serial add chain per lag.  No library kernel
+ * calls it, so BM_AutocorrelogramNaiveFull times the same loop on
+ * every revision, which is what makes it the regression gate's
+ * machine-speed yardstick (tools/check_bench_regression.py).
+ */
+double
+sumSquaredDeviations(const std::vector<double>& series, double mean)
+{
+    double s = 0.0;
+    for (double x : series)
+        s += (x - mean) * (x - mean);
+    return s;
+}
+
+double
+numeratorAt(const std::vector<double>& series, double mean,
+            std::size_t lag)
+{
+    double s = 0.0;
+    for (std::size_t i = 0; i + lag < series.size(); ++i)
+        s += (series[i] - mean) * (series[i + lag] - mean);
+    return s;
+}
+
+std::vector<double>
+singleAccumulatorCorrelogram(const std::vector<double>& series,
+                             std::size_t max_lag)
+{
+    std::vector<double> out;
+    out.reserve(max_lag + 1);
+    if (series.size() < 2) {
+        out.assign(max_lag + 1, 0.0);
+        return out;
+    }
+    const double mean = meanOf(series);
+    const double denom = sumSquaredDeviations(series, mean);
+    if (denom == 0.0) {
+        out.assign(max_lag + 1, 0.0);
+        return out;
+    }
+    for (std::size_t lag = 0; lag <= max_lag; ++lag) {
+        if (lag >= series.size()) {
+            out.push_back(0.0);
+            continue;
+        }
+        out.push_back(numeratorAt(series, mean, lag) / denom);
+    }
+    return out;
+}
+
+/**
+ * Full correlogram at max_lag = N/2 through the frozen
+ * single-accumulator loop: the direct evaluation is O(N^2/2) here,
+ * which is the regime the FFT path exists for.  One iteration keeps
+ * the N = 2^18 case (~20 s of O(N^2) work) bounded; compare against
+ * BM_AutocorrelogramFftFull at the same N for the speedup (>= 10x
+ * required at 2^18).
  */
 void
 BM_AutocorrelogramNaiveFull(benchmark::State& state)
@@ -113,7 +167,7 @@ BM_AutocorrelogramNaiveFull(benchmark::State& state)
         makeNoisyLabelSeries(static_cast<std::size_t>(state.range(0)));
     const std::size_t max_lag = series.size() / 2;
     for (auto _ : state) {
-        auto gram = autocorrelogramNaive(series, max_lag);
+        auto gram = singleAccumulatorCorrelogram(series, max_lag);
         benchmark::DoNotOptimize(gram);
     }
     state.SetComplexityN(state.range(0));
@@ -124,6 +178,25 @@ BENCHMARK(BM_AutocorrelogramNaiveFull)
     ->Arg(1 << 18)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
+
+/** The library's direct correlogram (four-lag blocks) at the same
+ *  shapes as BM_AutocorrelogramNaiveFull. */
+void
+BM_AutocorrelogramDirectFull(benchmark::State& state)
+{
+    const auto series =
+        makeNoisyLabelSeries(static_cast<std::size_t>(state.range(0)));
+    const std::size_t max_lag = series.size() / 2;
+    for (auto _ : state) {
+        auto gram = autocorrelogramNaive(series, max_lag);
+        benchmark::DoNotOptimize(gram);
+    }
+    state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_AutocorrelogramDirectFull)
+    ->Arg(1 << 14)
+    ->Arg(1 << 16)
+    ->Unit(benchmark::kMillisecond);
 
 /** FFT path at the same shapes, plus 2^20 (naive is intractable). */
 void

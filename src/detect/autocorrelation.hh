@@ -45,8 +45,11 @@ double autocorrelationAt(const std::vector<double>& series,
 std::vector<double> autocorrelogram(const std::vector<double>& series,
                                     std::size_t max_lag);
 
-/** Direct O(N·L) correlogram (the dispatch fallback; also the
- *  reference implementation for verification). */
+/** Direct O(N·L) correlogram (the dispatch fallback).  Evaluates
+ *  lags 0..min(max_lag, n-1) four at a time over the mean-centred
+ *  series; each coefficient sums its terms in index order, so it is
+ *  bit-identical to a one-lag-at-a-time evaluation.  Lags >= n are
+ *  exact zeros. */
 std::vector<double> autocorrelogramNaive(
     const std::vector<double>& series, std::size_t max_lag);
 
@@ -80,6 +83,10 @@ constexpr std::size_t kFftAutocorrMinSeries = 256;
  *  this the padded transforms cost more than the double loop. */
 constexpr std::size_t kFftAutocorrOpsThreshold = std::size_t{1} << 18;
 
+/** The dispatch rule: true when autocorrelogram() takes the FFT path
+ *  for a series of length n at max_lag. */
+bool autocorrelogramUsesFft(std::size_t n, std::size_t max_lag);
+
 /** A detected autocorrelogram peak. */
 struct AutocorrPeak
 {
@@ -93,6 +100,11 @@ struct AutocorrPeak
  */
 std::vector<AutocorrPeak> findPeaks(const std::vector<double>& correlogram,
                                     double min_value,
+                                    std::size_t min_separation = 8);
+
+/** findPeaks over the first `n` coefficients of a correlogram. */
+std::vector<AutocorrPeak> findPeaks(const double* correlogram,
+                                    std::size_t n, double min_value,
                                     std::size_t min_separation = 8);
 
 } // namespace cchunter

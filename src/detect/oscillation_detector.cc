@@ -1,6 +1,7 @@
 #include "detect/oscillation_detector.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "util/logging.hh"
@@ -40,15 +41,26 @@ decideOscillation(OscillationAnalysis& out,
     out.periodScore = 0.0;
     out.spanFraction = 0.0;
     out.oscillating = false;
+
+    // Every producer leaves lags >= seriesLength at exact zeros, and
+    // none of them can matter: a zero cannot lower the trough below
+    // its 0 start, and from lag seriesLength+1 on every zero follows
+    // a zero, which findPeaks skips as a plateau.  So only lags up to
+    // seriesLength+1 (the neighbour of the first zero) are read.
+    const std::vector<double>& gram = out.correlogram;
+    assert(std::all_of(gram.begin() + static_cast<std::ptrdiff_t>(
+                           std::min(gram.size(), out.seriesLength)),
+                       gram.end(), [](double r) { return r == 0.0; }));
     if (out.seriesLength < params.minSeriesLength)
         return;
+    const std::size_t live =
+        std::min(gram.size(), out.seriesLength + 2);
 
-    out.r1 = out.correlogram.size() > 1 ? out.correlogram[1] : 0.0;
-    for (std::size_t lag = 1; lag < out.correlogram.size(); ++lag)
-        out.deepestTrough =
-            std::min(out.deepestTrough, out.correlogram[lag]);
+    out.r1 = gram.size() > 1 ? gram[1] : 0.0;
+    for (std::size_t lag = 1; lag < live; ++lag)
+        out.deepestTrough = std::min(out.deepestTrough, gram[lag]);
 
-    out.peaks = findPeaks(out.correlogram, params.peakThreshold,
+    out.peaks = findPeaks(gram.data(), live, params.peakThreshold,
                           params.minPeakSeparation);
     if (out.peaks.empty())
         return;

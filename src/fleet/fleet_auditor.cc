@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -86,7 +87,7 @@ FleetAuditor::run()
 
     // --- persistence state (all mutation under persistMutex) ---
     persist::JournalWriter journal;
-    std::vector<TenantAlarmBatch> completed; //!< persisted batches
+    persist::FramedBatches completed; //!< persisted batches, framed once
     std::mutex persistMutex;
     std::uint64_t sinceCheckpoint = 0;
     std::uint64_t persistedThisRun = 0;
@@ -102,17 +103,10 @@ FleetAuditor::run()
                                    const IncidentStore* incidents,
                                    const ResponseOrchestratorState*
                                        respond) {
-        persist::FleetCheckpoint checkpoint;
-        checkpoint.registryFingerprint = fingerprint;
-        checkpoint.finalized = finalized;
-        checkpoint.batches = completed;
-        if (incidents)
-            checkpoint.incidents = *incidents;
-        if (respond)
-            checkpoint.respond = *respond;
         const std::vector<std::uint8_t> bytes =
-            persist::encodeFleetCheckpoint(checkpoint,
-                                           params_.rateLimit);
+            persist::encodeFleetCheckpoint(fingerprint, finalized,
+                                           completed, incidents,
+                                           respond, params_.rateLimit);
         if (!persist::writeFileAtomic(
                 persist::snapshotPath(params_.persist), bytes)) {
             ++report.persist.writeFailures;
@@ -122,14 +116,13 @@ FleetAuditor::run()
         report.persist.lastSnapshotBytes = bytes.size();
         return true;
     };
-    const auto journalBatch = [&](const TenantAlarmBatch& batch) {
-        const std::uint64_t before = journal.bytesWritten();
-        if (!journal.append(persist::encodeTenantBatch(batch))) {
+    const auto journalFrame = [&](std::span<const std::uint8_t> frame) {
+        if (!journal.appendFrame(frame)) {
             ++report.persist.writeFailures;
             return false;
         }
         ++report.persist.journalAppends;
-        report.persist.journalBytes += journal.bytesWritten() - before;
+        report.persist.journalBytes += frame.size();
         return true;
     };
     // A reset re-opens the journal; a closed one has nothing to reset
@@ -172,7 +165,7 @@ FleetAuditor::run()
         report.shards[s].offlineDetected += batch.offlineDetectedUnits;
         ++report.shards[s].recoveredTenants;
         shardQuanta[s] += batch.quantaRecorded;
-        completed.push_back(batch);
+        completed.add(batch);
         aggregator.ingest(std::move(batch));
     }
 
@@ -195,8 +188,8 @@ FleetAuditor::run()
                           persist::encodeMeta(fingerprint, false, 0)))
             ++report.persist.writeFailures;
         else if (!compacted)
-            for (const TenantAlarmBatch& batch : completed)
-                journalBatch(batch);
+            for (std::size_t i = 0; i < completed.size(); ++i)
+                journalFrame(completed.frame(i));
     }
 
     using Queue = BoundedQueue<TenantAlarmBatch>;
@@ -222,9 +215,8 @@ FleetAuditor::run()
                     std::lock_guard<std::mutex> lock(persistMutex);
                     if (crashed.load(std::memory_order_acquire))
                         continue;
-                    if (journalBatch(*batch))
+                    if (journalFrame(completed.add(*batch)))
                         ++persistedThisRun;
-                    completed.push_back(*batch);
                     ++sinceCheckpoint;
                     const std::size_t interval =
                         params_.persist.checkpointIntervalBatches;

@@ -347,22 +347,53 @@ decodeMeta(const std::vector<std::uint8_t>& payload,
     return r.exhausted();
 }
 
+std::span<const std::uint8_t>
+FramedBatches::add(const TenantAlarmBatch& batch)
+{
+    const std::size_t begin = bytes_.size();
+    appendFramedRecord(bytes_, encodeTenantBatch(batch));
+    ends_.push_back(bytes_.size());
+    return std::span<const std::uint8_t>(bytes_).subspan(begin);
+}
+
+std::span<const std::uint8_t>
+FramedBatches::frame(std::size_t i) const
+{
+    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+    return std::span<const std::uint8_t>(bytes_).subspan(
+        begin, ends_[i] - begin);
+}
+
+std::vector<std::uint8_t>
+encodeFleetCheckpoint(std::uint64_t registryFingerprint, bool finalized,
+                      const FramedBatches& batches,
+                      const IncidentStore* incidents,
+                      const ResponseOrchestratorState* respond,
+                      const IncidentRateLimit& limit)
+{
+    std::vector<std::uint8_t> bytes = encodeRecordFileHeader();
+    appendFramedRecord(bytes, encodeMeta(registryFingerprint, finalized,
+                                         batches.size()));
+    bytes.insert(bytes.end(), batches.bytes().begin(),
+                 batches.bytes().end());
+    if (incidents)
+        appendFramedRecord(bytes, encodeIncidentStore(*incidents, limit));
+    if (respond)
+        appendFramedRecord(bytes, encodeResponseState(*respond));
+    return bytes;
+}
+
 std::vector<std::uint8_t>
 encodeFleetCheckpoint(const FleetCheckpoint& checkpoint,
                       const IncidentRateLimit& limit)
 {
-    std::vector<std::vector<std::uint8_t>> records;
-    records.push_back(encodeMeta(checkpoint.registryFingerprint,
-                                 checkpoint.finalized,
-                                 checkpoint.batches.size()));
+    FramedBatches batches;
     for (const TenantAlarmBatch& batch : checkpoint.batches)
-        records.push_back(encodeTenantBatch(batch));
-    if (checkpoint.incidents)
-        records.push_back(
-            encodeIncidentStore(*checkpoint.incidents, limit));
-    if (checkpoint.respond)
-        records.push_back(encodeResponseState(*checkpoint.respond));
-    return encodeRecordFile(records);
+        batches.add(batch);
+    return encodeFleetCheckpoint(
+        checkpoint.registryFingerprint, checkpoint.finalized, batches,
+        checkpoint.incidents ? &*checkpoint.incidents : nullptr,
+        checkpoint.respond ? &*checkpoint.respond : nullptr, limit);
 }
 
 bool

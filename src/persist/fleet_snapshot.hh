@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fleet/alarm_aggregator.hh"
@@ -96,12 +97,47 @@ bool decodeMeta(const std::vector<std::uint8_t>& payload,
                 bool& finalized);
 
 /**
+ * Completed tenant batches, each encoded and framed (length,
+ * checksum, payload) once: the same frame goes to the journal when
+ * the batch completes and into every later snapshot, so a checkpoint
+ * re-encodes and re-checksums nothing it already holds.
+ */
+class FramedBatches
+{
+  public:
+    /** Frame one batch and keep it.  Returns its frame, valid until
+     *  the next add(). */
+    std::span<const std::uint8_t> add(const TenantAlarmBatch& batch);
+
+    /** Number of batches held. */
+    std::size_t size() const { return ends_.size(); }
+
+    /** The i-th batch's frame, in add() order. */
+    std::span<const std::uint8_t> frame(std::size_t i) const;
+
+    /** Every frame, back to back, in add() order. */
+    std::span<const std::uint8_t> bytes() const { return bytes_; }
+
+  private:
+    std::vector<std::uint8_t> bytes_;
+    std::vector<std::size_t> ends_; //!< end offset of each frame
+};
+
+/**
  * Serialize a checkpoint into a complete record-file byte image
  * (header, meta record, one record per batch, optionally the
- * incident store).
+ * incident store and the response state).
  */
 std::vector<std::uint8_t> encodeFleetCheckpoint(
     const FleetCheckpoint& checkpoint,
+    const IncidentRateLimit& limit = {});
+
+/** The same image from batches framed beforehand: byte-identical to
+ *  encodeFleetCheckpoint of a checkpoint holding those batches. */
+std::vector<std::uint8_t> encodeFleetCheckpoint(
+    std::uint64_t registryFingerprint, bool finalized,
+    const FramedBatches& batches, const IncidentStore* incidents,
+    const ResponseOrchestratorState* respond,
     const IncidentRateLimit& limit = {});
 
 /**

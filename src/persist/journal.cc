@@ -11,10 +11,7 @@ namespace
 std::vector<std::uint8_t>
 journalPreamble(const std::vector<std::uint8_t>& headerRecord)
 {
-    ByteWriter header;
-    header.u64(kSnapshotMagic);
-    header.u32(kSnapshotVersion);
-    std::vector<std::uint8_t> bytes = header.take();
+    std::vector<std::uint8_t> bytes = encodeRecordFileHeader();
     appendFramedRecord(bytes, headerRecord);
     return bytes;
 }
@@ -56,10 +53,16 @@ JournalWriter::open(const std::string& path,
 bool
 JournalWriter::append(const std::vector<std::uint8_t>& payload)
 {
-    if (!file_)
-        return false;
     std::vector<std::uint8_t> frame;
     appendFramedRecord(frame, payload);
+    return appendFrame(frame);
+}
+
+bool
+JournalWriter::appendFrame(std::span<const std::uint8_t> frame)
+{
+    if (!file_)
+        return false;
     if (std::fwrite(frame.data(), 1, frame.size(), file_) !=
             frame.size() ||
         std::fflush(file_) != 0) {

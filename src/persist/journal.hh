@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,10 @@ class JournalWriter
     /** Append one framed record and flush it.  Returns false (and
      *  stops accepting) on a write error. */
     bool append(const std::vector<std::uint8_t>& payload);
+
+    /** append() for a record the caller has already framed
+     *  (appendFramedRecord's length, checksum and payload). */
+    bool appendFrame(std::span<const std::uint8_t> frame);
 
     /** Truncate back to the header (after a checkpoint absorbed the
      *  journaled records). */

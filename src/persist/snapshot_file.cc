@@ -81,12 +81,18 @@ appendFramedRecord(std::vector<std::uint8_t>& out,
 }
 
 std::vector<std::uint8_t>
-encodeRecordFile(const std::vector<std::vector<std::uint8_t>>& records)
+encodeRecordFileHeader()
 {
     ByteWriter header;
     header.u64(kSnapshotMagic);
     header.u32(kSnapshotVersion);
-    std::vector<std::uint8_t> bytes = header.take();
+    return header.take();
+}
+
+std::vector<std::uint8_t>
+encodeRecordFile(const std::vector<std::vector<std::uint8_t>>& records)
+{
+    std::vector<std::uint8_t> bytes = encodeRecordFileHeader();
     for (const auto& payload : records)
         appendFramedRecord(bytes, payload);
     return bytes;

@@ -88,6 +88,9 @@ enum class ReadMode
     Journal,  //!< keep the intact prefix, drop the defective tail
 };
 
+/** The container header alone: magic, then version. */
+std::vector<std::uint8_t> encodeRecordFileHeader();
+
 /** Serialize a header plus framed records into one byte vector. */
 std::vector<std::uint8_t> encodeRecordFile(
     const std::vector<std::vector<std::uint8_t>>& records);

@@ -1,7 +1,6 @@
 #include "scenario/experiment.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "channels/capacity.hh"
 #include "detect/autocorrelation.hh"
@@ -461,51 +460,30 @@ runOnlineAudit(const OnlineAuditOptions& options)
 std::size_t
 finalizeDeferredOscillations(std::vector<UnitOutcome*>& pending)
 {
-    // Split by the dispatch rule the undeferred path applies, so a
-    // deferred outcome is bit-identical to its inline counterpart.
-    std::map<std::size_t, std::vector<UnitOutcome*>> fftGroups;
-    auto resolve = [](UnitOutcome& outcome,
-                      std::vector<double>&& correlogram) {
-        outcome.oscillation.analysis.seriesLength =
-            outcome.pendingSeries.size();
-        outcome.oscillation.analysis.correlogram =
-            std::move(correlogram);
-        decideOscillation(outcome.oscillation.analysis,
-                          outcome.pendingParams);
-        outcome.oscillation.detected =
-            outcome.oscillation.analysis.oscillating;
-        outcome.detected =
-            outcome.backend == DetectBackend::Indicator2
-                ? outcome.indicator2.detectedAt(
-                      outcome.indicator2Threshold)
-                : outcome.oscillation.detected;
-        outcome.deferredOscillation = false;
-        outcome.pendingSeries.clear();
-        outcome.pendingSeries.shrink_to_fit();
-    };
+    // autocorrelogram() applies the dispatch rule the undeferred path
+    // applies, on this thread's FFT plans and scratch, so a deferred
+    // outcome is bit-identical to its inline counterpart.
+    std::size_t batched = 0;
     for (UnitOutcome* outcome : pending) {
         if (!outcome || !outcome->deferredOscillation)
             continue;
-        const std::size_t n = outcome->pendingSeries.size();
+        const std::vector<double>& series = outcome->pendingSeries;
         const std::size_t lag = outcome->pendingParams.maxLag;
-        if (n >= kFftAutocorrMinSeries &&
-            n * (lag + 1) >= kFftAutocorrOpsThreshold)
-            fftGroups[lag].push_back(outcome);
-        else
-            resolve(*outcome,
-                    autocorrelogramNaive(outcome->pendingSeries,
-                                         lag));
-    }
-    std::size_t batched = 0;
-    for (auto& [lag, group] : fftGroups) {
-        std::vector<const std::vector<double>*> series;
-        series.reserve(group.size());
-        for (const UnitOutcome* outcome : group)
-            series.push_back(&outcome->pendingSeries);
-        auto correlograms = autocorrelogramsBatched(series, lag);
-        for (std::size_t i = 0; i < group.size(); ++i)
-            resolve(*group[i], std::move(correlograms[i]));
-        batched += group.size();
+        if (autocorrelogramUsesFft(series.size(), lag))
+            ++batched;
+        OscillationAnalysis& analysis = outcome->oscillation.analysis;
+        analysis.seriesLength = series.size();
+        analysis.correlogram = autocorrelogram(series, lag);
+        decideOscillation(analysis, outcome->pendingParams);
+        outcome->oscillation.detected = analysis.oscillating;
+        outcome->detected =
+            outcome->backend == DetectBackend::Indicator2
+                ? outcome->indicator2.detectedAt(
+                      outcome->indicator2Threshold)
+                : outcome->oscillation.detected;
+        outcome->deferredOscillation = false;
+        outcome->pendingSeries.clear();
+        outcome->pendingSeries.shrink_to_fit();
     }
     return batched;
 }

@@ -246,13 +246,12 @@ struct UnitOutcome
 };
 
 /**
- * Resolve deferred oscillation outcomes in one batched pass: series
- * above the FFT dispatch thresholds are grouped by their oscillation
- * max-lag and transformed through one shared plan and scratch arena
- * (autocorrelogramsBatched); the rest take the naive path, exactly as
- * the undeferred dispatch would.  Each outcome's verdict fields are
- * filled and its pending series released.  Returns the number of
- * series that went through the batched FFT pass.
+ * Resolve deferred oscillation outcomes in one pass: each series is
+ * dispatched exactly as the undeferred path dispatches it, the ones
+ * above the FFT thresholds through the calling thread's cached plans
+ * and scratch buffers.  Each outcome's verdict fields are filled and
+ * its pending series released.  Returns the number of series that
+ * went through the FFT path.
  */
 std::size_t finalizeDeferredOscillations(
     std::vector<UnitOutcome*>& pending);

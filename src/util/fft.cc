@@ -1,6 +1,9 @@
 #include "util/fft.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -26,6 +29,37 @@ bool
 isPowerOfTwo(std::size_t n)
 {
     return n != 0 && (n & (n - 1)) == 0;
+}
+
+/**
+ * One bin of the real-transform untangle,
+ *
+ *   even = (zk + conj(zmk)) * (0.5, 0)
+ *   odd  = (zk - conj(zmk)) * (0, -0.5)
+ *   bin  = even + w * odd,
+ *
+ * written out as the products std::complex forms for finite values,
+ * (ar*br - ai*bi, ar*bi + ai*br), term for term: the zero parts of
+ * the constant factors are multiplied, not dropped, so signed zeros
+ * round exactly as the complex operators round them.
+ */
+inline std::complex<double>
+untangleBin(std::complex<double> zk, std::complex<double> zmk,
+            std::complex<double> w)
+{
+    const double cr = zmk.real();
+    const double ci = -zmk.imag();
+    const double sr = zk.real() + cr;
+    const double si = zk.imag() + ci;
+    const double evenR = sr * 0.5 - si * 0.0;
+    const double evenI = sr * 0.0 + si * 0.5;
+    const double dr = zk.real() - cr;
+    const double di = zk.imag() - ci;
+    const double oddR = dr * 0.0 - di * -0.5;
+    const double oddI = dr * -0.5 + di * 0.0;
+    const double prodR = w.real() * oddR - w.imag() * oddI;
+    const double prodI = w.real() * oddI + w.imag() * oddR;
+    return {evenR + prodR, evenI + prodI};
 }
 
 } // namespace
@@ -60,6 +94,18 @@ FftPlan::FftPlan(std::size_t n) : n_(n)
         untangle_[k] = std::complex<double>(std::cos(angle),
                                             std::sin(angle));
     }
+    // Bit-reversal swaps (i, j), i < j, in increasing i.
+    if (n_ > std::numeric_limits<std::uint32_t>::max())
+        fatal("FftPlan: size exceeds the 32-bit swap table");
+    for (std::size_t i = 1, j = 0; i < n_; ++i) {
+        std::size_t bit = n_ >> 1;
+        for (; j & bit; bit >>= 1)
+            j ^= bit;
+        j ^= bit;
+        if (i < j)
+            swaps_.push_back({static_cast<std::uint32_t>(i),
+                              static_cast<std::uint32_t>(j)});
+    }
 }
 
 const FftPlan&
@@ -86,24 +132,15 @@ fftInPlace(std::complex<double>* a, std::size_t n, const FftPlan& plan,
     if (n == 1)
         return;
 
-    // Bit-reversal permutation.
-    for (std::size_t i = 1, j = 0; i < n; ++i) {
-        std::size_t bit = n >> 1;
-        for (; j & bit; bit >>= 1)
-            j ^= bit;
-        j ^= bit;
-        if (i < j)
-            std::swap(a[i], a[j]);
-    }
+    for (const auto& [i, j] : plan.bitReversalSwaps())
+        std::swap(a[i], a[j]);
 
-    // Butterflies, doubling the transform length each stage.  The
-    // planned forward twiddles serve the inverse too (conjugated
-    // inside the kernel).
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-        const std::complex<double>* tw = plan.stageTwiddles(len);
-        for (std::size_t i = 0; i < n; i += len)
-            simd::butterflyBlock(a + i, tw, len / 2, inverse);
-    }
+    // Butterflies, doubling the transform length each stage, one
+    // kernel call per stage.  The planned forward twiddles serve the
+    // inverse too (conjugated inside the kernel).
+    for (std::size_t len = 2; len <= n; len <<= 1)
+        simd::butterflyStage(a, n, plan.stageTwiddles(len), len / 2,
+                             inverse);
 
     if (inverse) {
         const double scale = 1.0 / static_cast<double>(n);
@@ -131,27 +168,22 @@ realFft(const double* x, std::size_t n, const FftPlan& plan,
     if (plan.size() != m)
         fatal("realFft: plan must cover the half size");
 
-    // Pack even samples into the real lane, odd into the imaginary.
+    // Pack even samples into the real lane, odd into the imaginary:
+    // a complex value is two adjacent doubles, so this is a copy.
     packed.resize(m);
-    for (std::size_t j = 0; j < m; ++j)
-        packed[j] = std::complex<double>(x[2 * j], x[2 * j + 1]);
+    std::memcpy(static_cast<void*>(packed.data()), x, n * sizeof(double));
     fftInPlace(packed.data(), m, plan);
 
     // Untangle the two interleaved half-length spectra:
     //   X[k] = E[k] + e^{-2πik/N} O[k],  k = 0..N/2
-    // with E/O recovered from Z[k] and conj(Z[M-k]).
+    // with E/O recovered from Z[k] and conj(Z[M-k]); Z is periodic
+    // in M, so bins 0 and M both pair Z[0] with itself.
     out.resize(m + 1);
-    const std::complex<double> half(0.5, 0.0);
-    const std::complex<double> minusHalfI(0.0, -0.5);
     const std::complex<double>* w = plan.untangleTwiddles();
-    for (std::size_t k = 0; k <= m; ++k) {
-        const std::complex<double> zk = packed[k % m];
-        const std::complex<double> zmk =
-            std::conj(packed[(m - k) % m]);
-        const std::complex<double> even = (zk + zmk) * half;
-        const std::complex<double> odd = (zk - zmk) * minusHalfI;
-        out[k] = even + w[k] * odd;
-    }
+    out[0] = untangleBin(packed[0], packed[0], w[0]);
+    for (std::size_t k = 1; k < m; ++k)
+        out[k] = untangleBin(packed[k], packed[m - k], w[k]);
+    out[m] = untangleBin(packed[0], packed[0], w[m]);
 }
 
 std::vector<std::complex<double>>
@@ -191,9 +223,10 @@ autocorrelationSumsFft(const double* x, std::size_t n,
     const std::size_t padded = autocorrPaddedSize(n, max_lag);
     const FftPlan& plan = fftPlanFor(padded / 2);
 
-    scratch.real.assign(padded, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        scratch.real[i] = x[i];
+    scratch.real.resize(padded);
+    std::copy(x, x + n, scratch.real.begin());
+    std::fill(scratch.real.begin() + static_cast<std::ptrdiff_t>(n),
+              scratch.real.end(), 0.0);
 
     realFft(scratch.real.data(), padded, plan, scratch.packed,
             scratch.spectrum);

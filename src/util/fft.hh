@@ -22,8 +22,10 @@
 #ifndef CCHUNTER_UTIL_FFT_HH
 #define CCHUNTER_UTIL_FFT_HH
 
+#include <array>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace cchunter
@@ -37,9 +39,11 @@ std::size_t nextPowerOfTwo(std::size_t n);
  * power of two).  Holds the per-stage butterfly twiddles (n-1 values;
  * stage of length `len` owns len/2 of them) and the half-bin factors
  * e^{-2πik/(2n)}, k = 0..n, that a real transform of length 2n needs
- * to untangle its packed half-spectra.  Building a plan is the only
- * place sin/cos is evaluated; reusing one across same-size transforms
- * is what the thread-local cache (and the fleet's batched pass) buys.
+ * to untangle its packed half-spectra, and the (i, j), i < j, index
+ * pairs the bit-reversal permutation swaps.  Building a plan is the
+ * only place sin/cos is evaluated and the only place bit reversal
+ * branches; reusing one across same-size transforms is what the
+ * thread-local cache (and the fleet's batched pass) buys.
  */
 class FftPlan
 {
@@ -65,10 +69,19 @@ class FftPlan
         return untangle_.data();
     }
 
+    /** The bit-reversal permutation as index swaps, in increasing
+     *  order of the lower index. */
+    const std::vector<std::array<std::uint32_t, 2>>&
+    bitReversalSwaps() const
+    {
+        return swaps_;
+    }
+
   private:
     std::size_t n_ = 0;
     std::vector<std::complex<double>> twiddles_;
     std::vector<std::complex<double>> untangle_;
+    std::vector<std::array<std::uint32_t, 2>> swaps_;
 };
 
 /** The thread-local plan cache: builds (once per thread and size) and

@@ -123,21 +123,24 @@ powerSpectrumScalar(const std::complex<double>* spectrum,
 }
 
 void
-butterflyBlockScalar(std::complex<double>* a,
+butterflyStageScalar(std::complex<double>* a, std::size_t n,
                      const std::complex<double>* tw, std::size_t half,
                      bool inverse)
 {
-    for (std::size_t j = 0; j < half; ++j) {
-        const double wr = tw[j].real();
-        const double wi = inverse ? -tw[j].imag() : tw[j].imag();
-        const double br = a[j + half].real();
-        const double bi = a[j + half].imag();
-        const double vr = br * wr - bi * wi;
-        const double vi = br * wi + bi * wr;
-        const double ur = a[j].real();
-        const double ui = a[j].imag();
-        a[j] = std::complex<double>(ur + vr, ui + vi);
-        a[j + half] = std::complex<double>(ur - vr, ui - vi);
+    for (std::size_t block = 0; block < n; block += 2 * half) {
+        std::complex<double>* u = a + block;
+        for (std::size_t j = 0; j < half; ++j) {
+            const double wr = tw[j].real();
+            const double wi = inverse ? -tw[j].imag() : tw[j].imag();
+            const double br = u[j + half].real();
+            const double bi = u[j + half].imag();
+            const double vr = br * wr - bi * wi;
+            const double vi = br * wi + bi * wr;
+            const double ur = u[j].real();
+            const double ui = u[j].imag();
+            u[j] = std::complex<double>(ur + vr, ui + vi);
+            u[j + half] = std::complex<double>(ur - vr, ui - vi);
+        }
     }
 }
 
@@ -231,34 +234,39 @@ powerSpectrumAvx2(const std::complex<double>* spectrum,
 }
 
 __attribute__((target("avx2"))) void
-butterflyBlockAvx2(std::complex<double>* a,
+butterflyStageAvx2(std::complex<double>* a, std::size_t n,
                    const std::complex<double>* tw, std::size_t half,
                    bool inverse)
 {
-    double* ap = reinterpret_cast<double*>(a);
-    double* bp = reinterpret_cast<double*>(a + half);
+    // A one-butterfly block fills no vector: the first stage runs the
+    // scalar loop.  Every later block is a whole number of two-value
+    // vectors (half is a power of two >= 2).
+    if (half == 1) {
+        butterflyStageScalar(a, n, tw, half, inverse);
+        return;
+    }
     const double* wp = reinterpret_cast<const double*>(tw);
     const __m256d negIm =
         inverse ? _mm256_set_pd(-0.0, 0.0, -0.0, 0.0)
                 : _mm256_setzero_pd();
-    const std::size_t half2 = half & ~std::size_t{1};
-    for (std::size_t j = 0; j < half2; j += 2) {
-        const __m256d w = _mm256_xor_pd(
-            _mm256_loadu_pd(wp + 2 * j), negIm); // wr0 wi0 wr1 wi1
-        const __m256d b = _mm256_loadu_pd(bp + 2 * j);
-        const __m256d wr = _mm256_movedup_pd(w);        // wr wr
-        const __m256d wi = _mm256_permute_pd(w, 0xF);   // wi wi
-        const __m256d bswap = _mm256_permute_pd(b, 0x5); // bi br
-        // (br*wr - bi*wi, bi*wr + br*wi)
-        const __m256d v = _mm256_addsub_pd(
-            _mm256_mul_pd(b, wr), _mm256_mul_pd(bswap, wi));
-        const __m256d u = _mm256_loadu_pd(ap + 2 * j);
-        _mm256_storeu_pd(ap + 2 * j, _mm256_add_pd(u, v));
-        _mm256_storeu_pd(bp + 2 * j, _mm256_sub_pd(u, v));
+    for (std::size_t block = 0; block < n; block += 2 * half) {
+        double* ap = reinterpret_cast<double*>(a + block);
+        double* bp = reinterpret_cast<double*>(a + block + half);
+        for (std::size_t j = 0; j < half; j += 2) {
+            const __m256d w = _mm256_xor_pd(
+                _mm256_loadu_pd(wp + 2 * j), negIm); // wr0 wi0 wr1 wi1
+            const __m256d b = _mm256_loadu_pd(bp + 2 * j);
+            const __m256d wr = _mm256_movedup_pd(w);        // wr wr
+            const __m256d wi = _mm256_permute_pd(w, 0xF);   // wi wi
+            const __m256d bswap = _mm256_permute_pd(b, 0x5); // bi br
+            // (br*wr - bi*wi, bi*wr + br*wi)
+            const __m256d v = _mm256_addsub_pd(
+                _mm256_mul_pd(b, wr), _mm256_mul_pd(bswap, wi));
+            const __m256d u = _mm256_loadu_pd(ap + 2 * j);
+            _mm256_storeu_pd(ap + 2 * j, _mm256_add_pd(u, v));
+            _mm256_storeu_pd(bp + 2 * j, _mm256_sub_pd(u, v));
+        }
     }
-    if (half2 != half)
-        butterflyBlockScalar(a + half2, tw + half2, half - half2,
-                             inverse);
 }
 
 #endif // CCHUNTER_SIMD_X86
@@ -330,16 +338,17 @@ powerSpectrumExpand(const std::complex<double>* spectrum,
 }
 
 void
-butterflyBlock(std::complex<double>* a, const std::complex<double>* tw,
-               std::size_t half, bool inverse)
+butterflyStage(std::complex<double>* a, std::size_t n,
+               const std::complex<double>* tw, std::size_t half,
+               bool inverse)
 {
 #ifdef CCHUNTER_SIMD_X86
     if (useVector()) {
-        butterflyBlockAvx2(a, tw, half, inverse);
+        butterflyStageAvx2(a, n, tw, half, inverse);
         return;
     }
 #endif
-    butterflyBlockScalar(a, tw, half, inverse);
+    butterflyStageScalar(a, n, tw, half, inverse);
 }
 
 } // namespace simd

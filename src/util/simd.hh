@@ -75,7 +75,9 @@ void powerSpectrumExpand(const std::complex<double>* spectrum,
                          std::size_t padded);
 
 /**
- * One radix-2 butterfly block over a span of 2*half complex values:
+ * One radix-2 butterfly stage over a whole transform of n complex
+ * values: for every block of 2*half values starting at a multiple of
+ * 2*half,
  *
  *   v = a[j+half] * tw[j]   (tw conjugated when inverse)
  *   a[j]      = a[j] + v
@@ -84,9 +86,10 @@ void powerSpectrumExpand(const std::complex<double>* spectrum,
  * The complex product is (br*wr - bi*wi, br*wi + bi*wr) with no FMA
  * contraction in either backend, matching std::complex::operator*=
  * exactly, so the transform output is bit-identical to the scalar
- * (and to the pre-shim) FFT.
+ * (and to the pre-shim) FFT.  One call covers every block of the
+ * stage, so a transform of size n makes log2(n) calls, not n-1.
  */
-void butterflyBlock(std::complex<double>* a,
+void butterflyStage(std::complex<double>* a, std::size_t n,
                     const std::complex<double>* tw, std::size_t half,
                     bool inverse);
 

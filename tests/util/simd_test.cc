@@ -191,27 +191,27 @@ TEST(SimdKernelTest, PowerSpectrumExpandBitIdenticalAcrossBackends)
     }
 }
 
-TEST(SimdKernelTest, ButterflyBlockBitIdenticalAcrossBackends)
+TEST(SimdKernelTest, ButterflyStageBitIdenticalAcrossBackends)
 {
     SimdToggleGuard guard;
-    for (const std::size_t n : {2u, 8u, 64u, 256u}) {
+    for (const std::size_t n : {2u, 4u, 8u, 64u, 256u}) {
         const FftPlan plan(n);
         for (std::size_t len = 2; len <= n; len <<= 1) {
             const std::size_t half = len / 2;
-            const auto base = randomComplex(700 + n + len, len);
+            const auto base = randomComplex(700 + n + len, n);
             for (const bool inverse : {false, true}) {
                 auto vec = base;
                 setSimdEnabled(true);
-                simd::butterflyBlock(vec.data(),
+                simd::butterflyStage(vec.data(), n,
                                      plan.stageTwiddles(len), half,
                                      inverse);
                 auto scalar = base;
                 setSimdEnabled(false);
-                simd::butterflyBlock(scalar.data(),
+                simd::butterflyStage(scalar.data(), n,
                                      plan.stageTwiddles(len), half,
                                      inverse);
                 ASSERT_EQ(std::memcmp(vec.data(), scalar.data(),
-                                      len * sizeof(vec[0])),
+                                      n * sizeof(vec[0])),
                           0)
                     << "n=" << n << " len=" << len
                     << " inverse=" << inverse;

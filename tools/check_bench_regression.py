@@ -7,9 +7,10 @@ Timing mode (default) — google-benchmark JSON in, pass/fail out.
 Every gated kernel bench may regress at most --threshold (default 10%)
 relative to the baseline.  Raw wall times are useless across machines,
 so both runs are normalised by a reference bench first:
-BM_AutocorrelogramNaiveFull/16384 is a plain scalar O(n·k) loop that
-none of the optimised kernels touch, making its ratio between the two
-files a clean estimate of the machine-speed difference.  A gated bench
+BM_AutocorrelogramNaiveFull/16384 times a frozen copy of the
+single-accumulator O(n·k) correlogram loop that lives in the bench
+itself, so no library change moves it, making its ratio between the
+two files a clean estimate of the machine-speed difference.  A gated bench
 fails only if it got slower by more than the threshold *after* that
 correction.
 
@@ -32,8 +33,9 @@ import argparse
 import json
 import sys
 
-# Machine-speed reference: untouched by the SIMD / plan-cache /
-# incremental work, so its drift measures the runner, not the code.
+# Machine-speed reference: a frozen loop in bench/analysis_perf.cc
+# that no library kernel shares, so its drift measures the runner,
+# not the code.
 REFERENCE = "BM_AutocorrelogramNaiveFull/16384"
 
 # Kernels under the regression gate.  These cover every optimisation
