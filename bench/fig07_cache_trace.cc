@@ -7,7 +7,7 @@
  */
 
 #include "bench/common.hh"
-#include "channels/cache_channel.hh"
+#include "channels/prime_probe.hh"
 
 using namespace cchunter;
 using namespace cchunter::bench;
@@ -28,7 +28,8 @@ main(int argc, char** argv)
 
     AuditRun run(auditOf(AuditedWorkload::Cache, opts));
     run.run();
-    const CacheSpy& spy = dynamic_cast<const CacheSpy&>(*run.spy());
+    const PrimeProbeSpy& spy =
+        dynamic_cast<const PrimeProbeSpy&>(*run.spy());
     const std::vector<double>& ratios = spy.ratios();
 
     printSeries(ratios, "G1/G0 access-time ratio", "bit index");

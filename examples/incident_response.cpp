@@ -21,7 +21,7 @@
 
 #include "auditor/cc_auditor.hh"
 #include "auditor/daemon.hh"
-#include "channels/cache_channel.hh"
+#include "channels/prime_probe.hh"
 #include "detect/detector.hh"
 #include "faults/fault_injector.hh"
 #include "mitigate/mitigator.hh"
@@ -54,25 +54,25 @@ run(const Config& cfg)
     Rng rng(seed);
     const Message secret = Message::random64(rng);
 
-    CacheChannelLayout layout;
-    layout.l2NumSets = mp.mem.l2.numSets();
+    PrimeProbeLayout layout;
+    layout.numSets = mp.mem.l2.numSets();
     layout.channelSets = sets;
 
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = timing;
     tp.message = secret;
     tp.layout = layout;
     tp.roundsPerBit = 4;
     Process& trojan =
-        machine.addProcess(std::make_unique<CacheTrojan>(tp), 0);
+        machine.addProcess(std::make_unique<PrimeProbeTrojan>(tp), 0);
 
-    CacheSpyParams sp;
+    PrimeProbeSpyParams sp;
     sp.timing = timing;
     sp.layout = layout;
     sp.noiseEvery = 24;
     sp.roundsPerBit = 4;
     Process& spy =
-        machine.addProcess(std::make_unique<CacheSpy>(sp), 1);
+        machine.addProcess(std::make_unique<PrimeProbeSpy>(sp), 1);
 
     for (int i = 0; i < 3; ++i)
         machine.addProcess(makeBenchmark("mcf", seed + 10 + i));

@@ -84,16 +84,6 @@ BusSpy::BusSpy(BusSpyParams params)
         fatal("BusSpy: region too small");
 }
 
-Message
-BusSpy::decoded() const
-{
-    std::vector<bool> bits;
-    bits.reserve(decodedSlots_.size());
-    for (const auto& [slot, value] : decodedSlots_)
-        bits.push_back(value);
-    return Message::fromBits(std::move(bits));
-}
-
 double
 BusSpy::currentThreshold() const
 {

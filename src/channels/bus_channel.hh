@@ -107,9 +107,6 @@ class BusSpy : public Workload, public ChannelSpy
     /** Average-latency samples (the series of paper figure 2). */
     const std::vector<double>& samples() const { return samples_; }
 
-    /** Bits decoded so far. */
-    Message decoded() const override;
-
     /** (bit-slot index, decoded value) pairs, in decode order. */
     const std::vector<std::pair<std::size_t, bool>>& decodedSlots()
         const override

@@ -30,12 +30,21 @@ class ChannelSpy
   public:
     virtual ~ChannelSpy() = default;
 
-    /** Bits decoded so far (wire bits, pre-protocol). */
-    virtual Message decoded() const = 0;
-
     /** (bit-slot index, decoded value) pairs, in decode order. */
     virtual const std::vector<std::pair<std::size_t, bool>>&
     decodedSlots() const = 0;
+
+    /** Bits decoded so far (wire bits, pre-protocol). */
+    Message
+    decoded() const
+    {
+        const auto& slots = decodedSlots();
+        std::vector<bool> bits;
+        bits.reserve(slots.size());
+        for (const auto& [slot, value] : slots)
+            bits.push_back(value);
+        return Message::fromBits(std::move(bits));
+    }
 };
 
 } // namespace cchunter

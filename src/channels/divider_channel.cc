@@ -49,16 +49,6 @@ DividerSpy::DividerSpy(DividerSpyParams params)
         fatal("DividerSpy: iterationsPerSample must be positive");
 }
 
-Message
-DividerSpy::decoded() const
-{
-    std::vector<bool> bits;
-    bits.reserve(decodedSlots_.size());
-    for (const auto& [slot, value] : decodedSlots_)
-        bits.push_back(value);
-    return Message::fromBits(std::move(bits));
-}
-
 void
 DividerSpy::finishSlot()
 {

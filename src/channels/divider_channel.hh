@@ -85,8 +85,6 @@ class DividerSpy : public Workload, public ChannelSpy
     /** Average loop-latency samples (the series of paper figure 3). */
     const std::vector<double>& samples() const { return samples_; }
 
-    Message decoded() const override;
-
     /** (bit-slot index, decoded value) pairs, in decode order. */
     const std::vector<std::pair<std::size_t, bool>>& decodedSlots()
         const override

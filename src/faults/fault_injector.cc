@@ -1,6 +1,5 @@
 #include "faults/fault_injector.hh"
 
-#include <algorithm>
 #include <sstream>
 
 namespace cchunter
@@ -17,9 +16,6 @@ constexpr std::uint64_t dupSalt = 0x64757071'75616e74ull;
 constexpr std::uint64_t batchSalt = 0x62617463'686d7574ull;
 constexpr std::uint64_t contextSalt = 0x63747864'63727074ull;
 constexpr std::uint64_t aliasSalt = 0x626c6f6f'6d616c73ull;
-constexpr std::uint64_t snapFlipSalt = 0x736e6170'666c6970ull;
-constexpr std::uint64_t snapTruncSalt = 0x736e6170'74727563ull;
-constexpr std::uint64_t snapMagicSalt = 0x736e6170'6d616763ull;
 
 /** The paper's 3-bit hardware context-ID space. */
 constexpr std::uint64_t contextIdSpace = 8;
@@ -30,8 +26,7 @@ std::uint64_t
 FaultInjectionStats::total() const
 {
     return droppedQuanta + duplicatedQuanta + truncatedBatches +
-           reorderedBatches + corruptedContexts + bloomAliases +
-           snapshotBitFlips + snapshotTruncations + snapshotMagicClobbers;
+           reorderedBatches + corruptedContexts + bloomAliases;
 }
 
 std::string
@@ -42,11 +37,7 @@ FaultInjectionStats::summary() const
        << duplicatedQuanta << ", truncated " << truncatedBatches
        << " batches (" << truncatedEvents << " events), reordered "
        << reorderedBatches << ", corrupted " << corruptedContexts
-       << " contexts, " << bloomAliases << " bloom aliases, "
-       << snapshotBitFlips << " snapshot bit flips, "
-       << snapshotTruncations << " snapshot truncations ("
-       << snapshotBytesTorn << " bytes), " << snapshotMagicClobbers
-       << " magic clobbers";
+       << " contexts, " << bloomAliases << " bloom aliases";
     return os.str();
 }
 
@@ -56,10 +47,7 @@ FaultInjector::FaultInjector(FaultPlan plan)
       dupRng_(plan.seed ^ dupSalt),
       batchRng_(plan.seed ^ batchSalt),
       contextRng_(plan.seed ^ contextSalt),
-      aliasRng_(plan.seed ^ aliasSalt),
-      snapFlipRng_(plan.seed ^ snapFlipSalt),
-      snapTruncRng_(plan.seed ^ snapTruncSalt),
-      snapMagicRng_(plan.seed ^ snapMagicSalt)
+      aliasRng_(plan.seed ^ aliasSalt)
 {
     plan_.validate();
 }
@@ -144,55 +132,6 @@ FaultInjector::aliasBloom()
         return false;
     ++stats_.bloomAliases;
     return true;
-}
-
-bool
-FaultInjector::snapshotPathActive() const
-{
-    return plan_.snapshotBitFlipRate > 0.0 ||
-           plan_.snapshotTruncateRate > 0.0 ||
-           plan_.snapshotMagicClobberRate > 0.0;
-}
-
-SnapshotMutation
-FaultInjector::mutateSnapshotBytes(std::vector<std::uint8_t>& bytes)
-{
-    SnapshotMutation m;
-    if (bytes.empty())
-        return m;
-    if (plan_.snapshotBitFlipRate > 0.0 &&
-        snapFlipRng_.nextBool(plan_.snapshotBitFlipRate)) {
-        const std::size_t offset = static_cast<std::size_t>(
-            snapFlipRng_.nextBelow(bytes.size()));
-        const unsigned bit =
-            static_cast<unsigned>(snapFlipRng_.nextBelow(8));
-        bytes[offset] ^= static_cast<std::uint8_t>(1u << bit);
-        ++m.bitsFlipped;
-        ++stats_.snapshotBitFlips;
-    }
-    if (plan_.snapshotTruncateRate > 0.0 &&
-        snapTruncRng_.nextBool(plan_.snapshotTruncateRate)) {
-        // A torn write: only a prefix of the image made it to disk.
-        const std::size_t keep = static_cast<std::size_t>(
-            snapTruncRng_.nextBelow(bytes.size()));
-        m.truncated = true;
-        m.bytesTorn = bytes.size() - keep;
-        bytes.resize(keep);
-        ++stats_.snapshotTruncations;
-        stats_.snapshotBytesTorn += m.bytesTorn;
-    }
-    if (!bytes.empty() && plan_.snapshotMagicClobberRate > 0.0 &&
-        snapMagicRng_.nextBool(plan_.snapshotMagicClobberRate)) {
-        // Scribble over the header so the file no longer even claims
-        // to be a snapshot.
-        const std::size_t span = std::min<std::size_t>(8, bytes.size());
-        for (std::size_t i = 0; i < span; ++i)
-            bytes[i] = static_cast<std::uint8_t>(
-                snapMagicRng_.nextBelow(256));
-        m.magicClobbered = true;
-        ++stats_.snapshotMagicClobbers;
-    }
-    return m;
 }
 
 } // namespace cchunter

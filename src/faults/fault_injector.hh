@@ -39,30 +39,12 @@ struct FaultInjectionStats
     std::uint64_t reorderedBatches = 0; //!< conflict batches shuffled
     std::uint64_t corruptedContexts = 0; //!< context IDs overwritten
     std::uint64_t bloomAliases = 0;     //!< forced Bloom false positives
-    std::uint64_t snapshotBitFlips = 0;  //!< persisted bits flipped
-    std::uint64_t snapshotTruncations = 0; //!< persisted tails torn off
-    std::uint64_t snapshotBytesTorn = 0; //!< bytes lost to truncations
-    std::uint64_t snapshotMagicClobbers = 0; //!< headers scribbled over
 
     /** Sum of all fault firings. */
     std::uint64_t total() const;
 
     /** Human-readable one-line summary. */
     std::string summary() const;
-};
-
-/** What one snapshot-image mutation did. */
-struct SnapshotMutation
-{
-    std::uint64_t bitsFlipped = 0;
-    bool truncated = false;
-    std::uint64_t bytesTorn = 0;
-    bool magicClobbered = false;
-
-    bool any() const
-    {
-        return bitsFlipped != 0 || truncated || magicClobbered;
-    }
 };
 
 /** What one conflict-batch mutation did. */
@@ -116,19 +98,6 @@ class FaultInjector
      *  alias when it fires. */
     bool aliasBloom();
 
-    /** True when any persisted-bytes fault is scheduled. */
-    bool snapshotPathActive() const;
-
-    /**
-     * Mutate one persisted file image in place: maybe flip a random
-     * bit, maybe tear off a random-length tail, maybe clobber the
-     * magic header — each from its own decision stream, each counted.
-     * Empty images are left alone.  The persistence reader must
-     * survive any result with a counted defect, never a crash.
-     */
-    SnapshotMutation mutateSnapshotBytes(
-        std::vector<std::uint8_t>& bytes);
-
     const FaultInjectionStats& stats() const { return stats_; }
 
   private:
@@ -138,9 +107,6 @@ class FaultInjector
     Rng batchRng_;
     Rng contextRng_;
     Rng aliasRng_;
-    Rng snapFlipRng_;
-    Rng snapTruncRng_;
-    Rng snapMagicRng_;
     FaultInjectionStats stats_;
 };
 

@@ -13,8 +13,7 @@ FaultPlan::enabled() const
     return dropQuantumRate > 0.0 || duplicateQuantumRate > 0.0 ||
            truncateBatchRate > 0.0 || reorderBatchRate > 0.0 ||
            corruptContextRate > 0.0 || bloomAliasRate > 0.0 ||
-           saturatePaperWidths || snapshotBitFlipRate > 0.0 ||
-           snapshotTruncateRate > 0.0 || snapshotMagicClobberRate > 0.0;
+           saturatePaperWidths;
 }
 
 void
@@ -31,9 +30,6 @@ FaultPlan::validate() const
     check("reorder_batch", reorderBatchRate);
     check("corrupt_context", corruptContextRate);
     check("bloom_alias", bloomAliasRate);
-    check("snap_bit_flip", snapshotBitFlipRate);
-    check("snap_truncate", snapshotTruncateRate);
-    check("snap_clobber_magic", snapshotMagicClobberRate);
 }
 
 FaultPlan
@@ -69,12 +65,6 @@ FaultPlan::fromConfig(const Config& cfg)
         cfg.getDouble("faults.bloom_alias", plan.bloomAliasRate);
     plan.saturatePaperWidths =
         cfg.getBool("faults.saturate", plan.saturatePaperWidths);
-    plan.snapshotBitFlipRate =
-        cfg.getDouble("faults.snap_bit_flip", plan.snapshotBitFlipRate);
-    plan.snapshotTruncateRate = cfg.getDouble(
-        "faults.snap_truncate", plan.snapshotTruncateRate);
-    plan.snapshotMagicClobberRate = cfg.getDouble(
-        "faults.snap_clobber_magic", plan.snapshotMagicClobberRate);
     plan.validate();
     return plan;
 }
@@ -90,9 +80,6 @@ FaultPlan::toConfig(Config& cfg) const
     cfg.set("faults.corrupt_context", corruptContextRate);
     cfg.set("faults.bloom_alias", bloomAliasRate);
     cfg.set("faults.saturate", saturatePaperWidths);
-    cfg.set("faults.snap_bit_flip", snapshotBitFlipRate);
-    cfg.set("faults.snap_truncate", snapshotTruncateRate);
-    cfg.set("faults.snap_clobber_magic", snapshotMagicClobberRate);
 }
 
 std::string
@@ -112,9 +99,6 @@ FaultPlan::summary() const
     rate("reorder_batch", reorderBatchRate);
     rate("corrupt_context", corruptContextRate);
     rate("bloom_alias", bloomAliasRate);
-    rate("snap_bit_flip", snapshotBitFlipRate);
-    rate("snap_truncate", snapshotTruncateRate);
-    rate("snap_clobber_magic", snapshotMagicClobberRate);
     if (saturatePaperWidths)
         os << " saturate=16bit";
     return os.str();

@@ -61,19 +61,6 @@ struct FaultPlan
      *  16-bit hardware widths (saturation, not wrap). */
     bool saturatePaperWidths = false;
 
-    /** P(a persisted snapshot/journal image gets one bit flipped) —
-     *  models at-rest or in-flight storage corruption, applied per
-     *  file image. */
-    double snapshotBitFlipRate = 0.0;
-
-    /** P(a persisted file image loses a tail of random length) —
-     *  models a torn write / truncated copy. */
-    double snapshotTruncateRate = 0.0;
-
-    /** P(a persisted file's magic header is clobbered) — models a
-     *  foreign or scribbled-over file at the snapshot path. */
-    double snapshotMagicClobberRate = 0.0;
-
     /** True when any fault is scheduled. */
     bool enabled() const;
 

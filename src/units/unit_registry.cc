@@ -2,11 +2,11 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "channels/bus_channel.hh"
-#include "channels/cache_channel.hh"
 #include "channels/divider_channel.hh"
-#include "channels/tlb_channel.hh"
+#include "channels/prime_probe.hh"
 #include "util/logging.hh"
 
 namespace cchunter
@@ -113,6 +113,32 @@ makeMultiplierUnit()
     return d;
 }
 
+/**
+ * The workload of the set-indexed units: a prime+probe trojan on
+ * context 0 and its spy on context 1, the SMT siblings of core 0.
+ */
+void
+addPrimeProbePair(Machine& machine, const UnitRunContext& ctx,
+                  PrimeProbeLayout layout, std::size_t noiseEvery,
+                  Tick dormantNoiseGap)
+{
+    PrimeProbeTrojanParams tp;
+    tp.timing = ctx.timing;
+    tp.message = ctx.message;
+    tp.layout = layout;
+    tp.roundsPerBit = ctx.roundsPerBit;
+    machine.addProcess(std::make_unique<PrimeProbeTrojan>(std::move(tp)),
+                       0);
+    PrimeProbeSpyParams sp;
+    sp.timing = ctx.timing;
+    sp.layout = std::move(layout);
+    sp.noiseEvery = noiseEvery;
+    sp.dormantNoiseGap = dormantNoiseGap;
+    sp.roundsPerBit = ctx.roundsPerBit;
+    sp.seed = ctx.seed + 7;
+    machine.addProcess(std::make_unique<PrimeProbeSpy>(std::move(sp)), 1);
+}
+
 UnitDescriptor
 makeCacheUnit()
 {
@@ -133,26 +159,16 @@ makeCacheUnit()
         mp.mem.l2 = CacheGeometry{256 * 1024, 1, 64};
     };
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
-        CacheChannelLayout layout;
         const CacheGeometry& l2 = machine.mem().l2(0).geometry();
-        layout.l2NumSets = l2.numSets();
-        layout.lineSize = l2.lineSize;
+        PrimeProbeLayout layout;
+        layout.unit = "cache";
+        layout.numSets = l2.numSets();
+        layout.setStride = l2.lineSize;
         layout.channelSets = ctx.channelSets;
-        layout.linesPerSet = ctx.linesPerSet;
-        CacheTrojanParams tp;
-        tp.timing = ctx.timing;
-        tp.message = ctx.message;
-        tp.layout = layout;
-        tp.roundsPerBit = ctx.roundsPerBit;
-        machine.addProcess(std::make_unique<CacheTrojan>(tp), 0);
-        CacheSpyParams sp;
-        sp.timing = ctx.timing;
-        sp.layout = layout;
-        sp.noiseEvery = ctx.cacheNoiseEvery;
-        sp.dormantNoiseGap = ctx.cacheDormantNoiseGap;
-        sp.roundsPerBit = ctx.roundsPerBit;
-        sp.seed = ctx.seed + 7;
-        machine.addProcess(std::make_unique<CacheSpy>(sp), 1);
+        layout.trojanDepth = ctx.linesPerSet;
+        layout.spyDepth = ctx.linesPerSet;
+        addPrimeProbePair(machine, ctx, std::move(layout),
+                          ctx.cacheNoiseEvery, ctx.cacheDormantNoiseGap);
     };
     d.program = [](CCAuditor& auditor, const AuditKey& key,
                    unsigned slot, const UnitRunContext& ctx) {
@@ -185,23 +201,18 @@ makeTlbUnit()
     d.configureBenignMachine = enableTlb;
     d.buildWorkload = [](Machine& machine, const UnitRunContext& ctx) {
         const Tlb& tlb = machine.mem().tlb(0);
-        TlbChannelLayout layout;
-        layout.tlbNumSets = tlb.numSets();
-        layout.tlbWays = tlb.params().associativity;
-        layout.pageBytes = tlb.params().pageBytes;
+        // The trojan fills every way of a set; the spy keeps one page
+        // resident per set.  Each side's lines sit in their own
+        // cache-line slots of the page (PrimeProbeLayout::slotBytes).
+        PrimeProbeLayout layout;
+        layout.unit = "tlb";
+        layout.numSets = tlb.numSets();
+        layout.setStride = tlb.params().pageBytes;
         layout.channelSets = ctx.tlbChannelSets;
-        TlbTrojanParams tp;
-        tp.timing = ctx.timing;
-        tp.message = ctx.message;
-        tp.layout = layout;
-        tp.roundsPerBit = ctx.roundsPerBit;
-        machine.addProcess(std::make_unique<TlbTrojan>(tp), 0);
-        TlbSpyParams sp;
-        sp.timing = ctx.timing;
-        sp.layout = layout;
-        sp.roundsPerBit = ctx.roundsPerBit;
-        sp.seed = ctx.seed + 7;
-        machine.addProcess(std::make_unique<TlbSpy>(sp), 1);
+        layout.trojanDepth = tlb.params().associativity;
+        layout.spyDepth = 1;
+        layout.slotBytes = 64;
+        addPrimeProbePair(machine, ctx, std::move(layout), 0, 0);
     };
     d.program = [](CCAuditor& auditor, const AuditKey& key,
                    unsigned slot, const UnitRunContext&) {

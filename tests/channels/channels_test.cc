@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "channels/bus_channel.hh"
-#include "channels/cache_channel.hh"
 #include "channels/divider_channel.hh"
+#include "channels/prime_probe.hh"
+#include "mem/cache.hh"
+#include "mem/tlb.hh"
 #include "sim/machine.hh"
 
 namespace cchunter
@@ -211,25 +215,25 @@ TEST(CacheChannelTest, RoundsMultiplyOscillationPeriods)
     Machine m(mp);
     ChannelTiming t = fastTiming(100.0); // 25 M per bit
 
-    CacheChannelLayout layout;
-    layout.l2NumSets = 4096;
+    PrimeProbeLayout layout;
+    layout.numSets = 4096;
     layout.channelSets = 128;
 
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = t;
     tp.message = Message::fromBits({true});
     tp.layout = layout;
     tp.roundsPerBit = 8;
-    auto trojan = std::make_unique<CacheTrojan>(tp);
+    auto trojan = std::make_unique<PrimeProbeTrojan>(tp);
     auto* traw = trojan.get();
     m.addProcess(std::move(trojan), 0);
 
-    CacheSpyParams sp;
+    PrimeProbeSpyParams sp;
     sp.timing = t;
     sp.layout = layout;
     sp.roundsPerBit = 8;
     sp.noiseEvery = 0;
-    m.addProcess(std::make_unique<CacheSpy>(sp), 1);
+    m.addProcess(std::make_unique<PrimeProbeSpy>(sp), 1);
 
     m.run(t.bitTicks());
     // 8 rounds x 64 sets primed per round.
@@ -239,19 +243,19 @@ TEST(CacheChannelTest, RoundsMultiplyOscillationPeriods)
 
 TEST(CacheChannelTest, LayoutAddressing)
 {
-    CacheChannelLayout layout;
-    layout.l2NumSets = 4096;
+    PrimeProbeLayout layout;
+    layout.numSets = 4096;
     layout.channelSets = 512;
     EXPECT_EQ(layout.setsPerGroup(), 256u);
     // G1 set 0 and G0 set 0 are channelSets/2 sets apart.
-    const Addr g1 = layout.addrFor(0, true, 0, 0);
-    const Addr g0 = layout.addrFor(0, false, 0, 0);
+    const Addr g1 = layout.addr(0, true, true, 0, 0);
+    const Addr g0 = layout.addr(0, true, false, 0, 0);
     EXPECT_EQ(g0 - g1, 256u * 64u);
     // Lines with the same idx share the set: stride = sets * lineSize.
-    layout.linesPerSet = 2;
-    const Addr l1 = layout.addrFor(0, true, 3, 1);
+    layout.trojanDepth = 2;
+    const Addr l1 = layout.addr(0, true, true, 3, 1);
     EXPECT_EQ(l1, 3 * 64 + 4096 * 64u);
-    EXPECT_ANY_THROW(layout.addrFor(0, true, 300, 0));
+    EXPECT_ANY_THROW(layout.addr(0, true, true, 300, 0));
 }
 
 TEST(CacheChannelTest, SpyDecodesBitsViaLatencyRatio)
@@ -263,21 +267,21 @@ TEST(CacheChannelTest, SpyDecodesBitsViaLatencyRatio)
     const Message msg = Message::fromBits(
         {true, false, true, true, false, false, true, false});
 
-    CacheChannelLayout layout;
-    layout.l2NumSets = 4096;
+    PrimeProbeLayout layout;
+    layout.numSets = 4096;
     layout.channelSets = 128;
 
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = t;
     tp.message = msg;
     tp.layout = layout;
-    m.addProcess(std::make_unique<CacheTrojan>(tp), 0);
+    m.addProcess(std::make_unique<PrimeProbeTrojan>(tp), 0);
 
-    CacheSpyParams sp;
+    PrimeProbeSpyParams sp;
     sp.timing = t;
     sp.layout = layout;
     sp.noiseEvery = 0;
-    auto spy = std::make_unique<CacheSpy>(sp);
+    auto spy = std::make_unique<PrimeProbeSpy>(sp);
     auto* raw = spy.get();
     m.addProcess(std::move(spy), 1);
 
@@ -300,21 +304,183 @@ TEST(CacheChannelTest, SpyDecodesBitsViaLatencyRatio)
 
 TEST(CacheChannelTest, OddChannelSetsThrow)
 {
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = fastTiming();
     tp.message = Message::fromBits({true});
     tp.layout.channelSets = 511;
-    EXPECT_ANY_THROW(CacheTrojan{tp});
+    EXPECT_ANY_THROW(PrimeProbeTrojan{tp});
 }
 
 TEST(CacheChannelTest, ChannelBeyondL2Throws)
 {
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = fastTiming();
     tp.message = Message::fromBits({true});
-    tp.layout.l2NumSets = 64;
+    tp.layout.numSets = 64;
     tp.layout.channelSets = 128;
-    EXPECT_ANY_THROW(CacheTrojan{tp});
+    EXPECT_ANY_THROW(PrimeProbeTrojan{tp});
+}
+
+/** The cache unit's layout: 4096 sets of 64-byte lines. */
+PrimeProbeLayout
+cacheLayout(std::size_t linesPerSet)
+{
+    PrimeProbeLayout l;
+    l.numSets = 4096;
+    l.setStride = 64;
+    l.channelSets = 512;
+    l.firstSet = 1024;
+    l.trojanDepth = linesPerSet;
+    l.spyDepth = linesPerSet;
+    return l;
+}
+
+/** The TLB unit's layout: 64 sets x 4 ways of 4 KiB pages. */
+PrimeProbeLayout
+tlbLayout()
+{
+    PrimeProbeLayout l;
+    l.unit = "tlb";
+    l.numSets = 64;
+    l.setStride = 4096;
+    l.channelSets = 32;
+    l.firstSet = 16;
+    l.trojanDepth = 4;
+    l.spyDepth = 1;
+    l.slotBytes = 64;
+    return l;
+}
+
+/**
+ * Every address both sides touch, with the set it must land in, its
+ * side and its group.
+ */
+struct Placed
+{
+    Addr addr;
+    std::size_t set;
+    bool trojan;
+    bool group1;
+};
+
+std::vector<Placed>
+placeAll(const PrimeProbeLayout& l)
+{
+    std::vector<Placed> out;
+    for (const bool trojan : {true, false}) {
+        const Addr base = trojan ? 0x40000000 : 0x80000000;
+        const std::size_t depth = trojan ? l.trojanDepth : l.spyDepth;
+        for (const bool g1 : {true, false})
+            for (std::size_t idx = 0; idx < l.setsPerGroup(); ++idx)
+                for (std::size_t e = 0; e < depth; ++e)
+                    out.push_back(
+                        {l.addr(base, trojan, g1, idx, e),
+                         l.firstSet + (g1 ? 0 : l.setsPerGroup()) + idx,
+                         trojan, g1});
+    }
+    return out;
+}
+
+TEST(PrimeProbeLayoutTest, CacheEntriesLandInTheirSets)
+{
+    const Cache l2("l2", CacheGeometry{256 * 1024, 1, 64});
+    ASSERT_EQ(l2.geometry().numSets(), 4096u);
+    for (const std::size_t depth : {1u, 2u}) {
+        const PrimeProbeLayout l = cacheLayout(depth);
+        std::set<std::size_t> g1_sets, g0_sets;
+        std::set<Addr> lines;
+        for (const Placed& p : placeAll(l)) {
+            EXPECT_EQ(l2.setIndex(p.addr), p.set) << "depth " << depth;
+            (p.group1 ? g1_sets : g0_sets).insert(l2.setIndex(p.addr));
+            lines.insert(l2.lineAddr(p.addr));
+        }
+        EXPECT_EQ(g1_sets.size(), l.setsPerGroup());
+        EXPECT_EQ(g0_sets.size(), l.setsPerGroup());
+        for (const std::size_t s : g1_sets)
+            EXPECT_EQ(g0_sets.count(s), 0u) << "set " << s;
+        // Every entry of either side is a distinct line.
+        EXPECT_EQ(lines.size(), 2 * l.channelSets * depth);
+    }
+}
+
+TEST(PrimeProbeLayoutTest, TlbEntriesLandInTheirSetsAndOwnSlots)
+{
+    TlbParams tp;
+    tp.entries = 256;
+    tp.associativity = 4;
+    tp.pageBytes = 4096;
+    const Tlb tlb("tlb", tp);
+    ASSERT_EQ(tlb.numSets(), 64u);
+    const PrimeProbeLayout l = tlbLayout();
+    std::set<std::size_t> g1_sets, g0_sets;
+    std::set<Addr> trojan_slots, spy_slots, pages;
+    for (const Placed& p : placeAll(l)) {
+        EXPECT_EQ(tlb.setIndex(p.addr), p.set);
+        (p.group1 ? g1_sets : g0_sets).insert(tlb.setIndex(p.addr));
+        pages.insert(tlb.pageNumber(p.addr));
+        // The slot's whole cache line stays inside its page.
+        const Addr in_page = p.addr % l.setStride;
+        EXPECT_EQ(in_page % 64, 0u);
+        EXPECT_LE(in_page + 64, l.setStride);
+        (p.trojan ? trojan_slots : spy_slots).insert(in_page / 64);
+    }
+    for (const std::size_t s : g1_sets)
+        EXPECT_EQ(g0_sets.count(s), 0u) << "set " << s;
+    EXPECT_EQ(g1_sets.size() + g0_sets.size(), l.channelSets);
+    // The trojan fills every way; the spy keeps one page per set.
+    EXPECT_EQ(pages.size(), l.channelSets * (l.trojanDepth + 1));
+    // Trojan and spy never share an in-page line slot.
+    EXPECT_EQ(trojan_slots.size(), l.channelSets);
+    EXPECT_EQ(spy_slots.size(), l.channelSets);
+    for (const Addr s : trojan_slots)
+        EXPECT_EQ(spy_slots.count(s), 0u) << "slot " << s;
+}
+
+TEST(PrimeProbeLayoutTest, ValidateRejectsLayoutsThatDoNotFit)
+{
+    EXPECT_NO_THROW(cacheLayout(2).validate("test"));
+    EXPECT_NO_THROW(tlbLayout().validate("test"));
+    for (const PrimeProbeLayout& ok : {cacheLayout(1), tlbLayout()}) {
+        PrimeProbeLayout l = ok;
+        l.channelSets = 31; // odd
+        EXPECT_ANY_THROW(l.validate("test")) << ok.unit;
+        l.channelSets = 0;
+        EXPECT_ANY_THROW(l.validate("test")) << ok.unit;
+        l = ok;
+        l.firstSet = ok.numSets - ok.channelSets + 1; // past the end
+        EXPECT_ANY_THROW(l.validate("test")) << ok.unit;
+        l = ok;
+        l.trojanDepth = 0;
+        EXPECT_ANY_THROW(l.validate("test")) << ok.unit;
+        l = ok;
+        l.spyDepth = 0;
+        EXPECT_ANY_THROW(l.validate("test")) << ok.unit;
+    }
+    // 34 sets need 68 line slots; a 4 KiB page holds 64.
+    PrimeProbeLayout crowded = tlbLayout();
+    crowded.firstSet = 0;
+    crowded.channelSets = 34;
+    EXPECT_ANY_THROW(crowded.validate("test"));
+}
+
+TEST(PrimeProbeLayoutTest, BothSidesValidateAndTakeTheUnitsName)
+{
+    PrimeProbeTrojanParams tp;
+    tp.timing = fastTiming();
+    tp.message = Message::fromBits({true});
+    tp.layout = tlbLayout();
+    PrimeProbeSpyParams sp;
+    sp.timing = fastTiming();
+    sp.layout = tlbLayout();
+    EXPECT_EQ(PrimeProbeTrojan(tp).name(), "tlb-trojan");
+    EXPECT_EQ(PrimeProbeSpy(sp).name(), "tlb-spy");
+    sp.layout = cacheLayout(1);
+    EXPECT_EQ(PrimeProbeSpy(sp).name(), "cache-spy");
+    // The spy refuses a channel that does not fit, as the trojan does.
+    sp.layout.numSets = 64;
+    EXPECT_ANY_THROW(PrimeProbeSpy{sp});
+    tp.message = Message();
+    EXPECT_ANY_THROW(PrimeProbeTrojan{tp});
 }
 
 } // namespace

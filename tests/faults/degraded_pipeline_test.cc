@@ -15,7 +15,7 @@
 
 #include "auditor/cc_auditor.hh"
 #include "auditor/daemon.hh"
-#include "channels/cache_channel.hh"
+#include "channels/prime_probe.hh"
 #include "channels/divider_channel.hh"
 #include "faults/fault_injector.hh"
 #include "sim/machine.hh"
@@ -242,21 +242,21 @@ TEST(DegradedPipelineTest, CacheChannelSurvivesConflictFaults)
     timing.bandwidthBps = 1000.0;
     Rng rng(2);
 
-    CacheChannelLayout layout;
-    layout.l2NumSets = 4096;
+    PrimeProbeLayout layout;
+    layout.numSets = 4096;
     layout.channelSets = 256;
 
-    CacheTrojanParams tp;
+    PrimeProbeTrojanParams tp;
     tp.timing = timing;
     tp.message = Message::random64(rng);
     tp.layout = layout;
     tp.roundsPerBit = 4;
-    m.addProcess(std::make_unique<CacheTrojan>(tp), 0);
-    CacheSpyParams sp;
+    m.addProcess(std::make_unique<PrimeProbeTrojan>(tp), 0);
+    PrimeProbeSpyParams sp;
     sp.timing = timing;
     sp.layout = layout;
     sp.roundsPerBit = 4;
-    m.addProcess(std::make_unique<CacheSpy>(sp), 1);
+    m.addProcess(std::make_unique<PrimeProbeSpy>(sp), 1);
 
     CCAuditor auditor(m);
     const AuditKey key = requestAuditKey(true);

@@ -203,67 +203,5 @@ TEST(FaultInjectorTest, ReorderShufflesInPlace)
     EXPECT_EQ(inj.stats().reorderedBatches, 1u);
 }
 
-TEST(FaultInjectorTest, SnapshotMutationIsDeterministicPerSeed)
-{
-    FaultPlan plan;
-    plan.seed = 77;
-    plan.snapshotBitFlipRate = 1.0;
-    plan.snapshotTruncateRate = 1.0;
-    plan.snapshotMagicClobberRate = 1.0;
-
-    std::vector<std::uint8_t> a(256, 0xAA);
-    std::vector<std::uint8_t> b(256, 0xAA);
-    FaultInjector first(plan);
-    FaultInjector second(plan);
-    const SnapshotMutation ma = first.mutateSnapshotBytes(a);
-    const SnapshotMutation mb = second.mutateSnapshotBytes(b);
-    EXPECT_TRUE(ma.any());
-    EXPECT_EQ(ma.bitsFlipped, mb.bitsFlipped);
-    EXPECT_EQ(ma.bytesTorn, mb.bytesTorn);
-    EXPECT_EQ(a, b); // byte-identical damage for identical plans
-    EXPECT_EQ(first.stats().snapshotBitFlips, 1u);
-    EXPECT_EQ(first.stats().snapshotTruncations, 1u);
-    EXPECT_EQ(first.stats().snapshotBytesTorn, ma.bytesTorn);
-}
-
-TEST(FaultInjectorTest, SnapshotStreamsAreIndependent)
-{
-    // Disabling the truncate fault must not move the bit-flip
-    // schedule: each snapshot fault draws from its own salted stream.
-    FaultPlan flipOnly;
-    flipOnly.seed = 99;
-    flipOnly.snapshotBitFlipRate = 1.0;
-    FaultPlan flipAndTear = flipOnly;
-    flipAndTear.snapshotTruncateRate = 1.0;
-
-    std::vector<std::uint8_t> a(128, 0x55);
-    std::vector<std::uint8_t> b(128, 0x55);
-    FaultInjector injA(flipOnly);
-    FaultInjector injB(flipAndTear);
-    injA.mutateSnapshotBytes(a);
-    const SnapshotMutation mb = injB.mutateSnapshotBytes(b);
-    ASSERT_TRUE(mb.truncated);
-    // The flip landed at the same offset in both runs: the torn copy
-    // is a strict prefix of the flip-only copy.
-    ASSERT_LT(b.size(), a.size());
-    EXPECT_TRUE(std::equal(b.begin(), b.end(), a.begin()));
-}
-
-TEST(FaultInjectorTest, SnapshotMutationLeavesEmptyImagesAlone)
-{
-    FaultPlan plan;
-    plan.seed = 3;
-    plan.snapshotBitFlipRate = 1.0;
-    plan.snapshotTruncateRate = 1.0;
-    plan.snapshotMagicClobberRate = 1.0;
-    FaultInjector inj(plan);
-    EXPECT_TRUE(inj.snapshotPathActive());
-    std::vector<std::uint8_t> empty;
-    const SnapshotMutation m = inj.mutateSnapshotBytes(empty);
-    EXPECT_FALSE(m.any());
-    EXPECT_TRUE(empty.empty());
-    EXPECT_EQ(inj.stats().snapshotBitFlips, 0u);
-}
-
 } // namespace
 } // namespace cchunter

@@ -40,8 +40,6 @@ TEST(FaultPlanNegativeTest, EveryRateKeyRejectsOutOfRangeValues)
         "faults.drop_quantum",  "faults.dup_quantum",
         "faults.truncate_batch", "faults.reorder_batch",
         "faults.corrupt_context", "faults.bloom_alias",
-        "faults.snap_bit_flip",  "faults.snap_truncate",
-        "faults.snap_clobber_magic",
     };
     for (const char* key : keys) {
         for (const double bad : {-0.01, 1.01, 7.0}) {
@@ -97,10 +95,14 @@ TEST(FaultPlanNegativeTest, BoundaryRatesAreAccepted)
 
 TEST(FaultPlanNegativeTest, UnreadKeyIsFatalAndNamesTheReadKeys)
 {
-    // A retired knob (faults.corrupt_batch) or a misspelt one must stop
-    // the run rather than leave it silently clean; keys outside the
-    // faults.* namespace belong to other parsers and pass through.
-    for (const char* key : {"faults.corrupt_batch", "faults.drop_quanta"}) {
+    // A retired knob (faults.corrupt_batch, the snapshot-byte rates no
+    // run ever drew from) or a misspelt one must stop the run rather
+    // than leave it silently clean; keys outside the faults.*
+    // namespace belong to other parsers and pass through.
+    for (const char* key :
+         {"faults.corrupt_batch", "faults.snap_bit_flip",
+          "faults.snap_truncate", "faults.snap_clobber_magic",
+          "faults.drop_quanta"}) {
         Config cfg;
         cfg.set(key, 0.5);
         cfg.set("evasion.strategy", std::string("gaps"));
@@ -111,7 +113,7 @@ TEST(FaultPlanNegativeTest, UnreadKeyIsFatalAndNamesTheReadKeys)
             << msg;
         for (const char* read :
              {"faults.seed", "faults.drop_quantum", "faults.saturate",
-              "faults.snap_clobber_magic"})
+              "faults.bloom_alias"})
             EXPECT_NE(msg.find(read), std::string::npos)
                 << read << " got: " << msg;
     }
@@ -127,9 +129,9 @@ TEST(FaultPlanNegativeTest, RoundTripThroughConfigIsLossless)
     plan.dropQuantumRate = 0.25;
     plan.bloomAliasRate = 0.125;
     plan.saturatePaperWidths = true;
-    plan.snapshotBitFlipRate = 0.5;
-    plan.snapshotTruncateRate = 0.0625;
-    plan.snapshotMagicClobberRate = 0.03125;
+    plan.corruptContextRate = 0.5;
+    plan.reorderBatchRate = 0.0625;
+    plan.truncateBatchRate = 0.03125;
     Config cfg;
     plan.toConfig(cfg);
     const FaultPlan back = FaultPlan::fromConfig(cfg);
@@ -137,22 +139,7 @@ TEST(FaultPlanNegativeTest, RoundTripThroughConfigIsLossless)
     EXPECT_EQ(back.dropQuantumRate, 0.25);
     EXPECT_EQ(back.bloomAliasRate, 0.125);
     EXPECT_TRUE(back.saturatePaperWidths);
-    EXPECT_EQ(back.snapshotBitFlipRate, 0.5);
-    EXPECT_EQ(back.snapshotTruncateRate, 0.0625);
-    EXPECT_EQ(back.snapshotMagicClobberRate, 0.03125);
-}
-
-TEST(FaultPlanNegativeTest, SnapshotRatesAloneEnableThePlan)
-{
-    // A plan scheduling only persisted-bytes faults is still an
-    // enabled plan — enabled() must see the snapshot knobs.
-    FaultPlan plan;
-    EXPECT_FALSE(plan.enabled());
-    plan.snapshotBitFlipRate = 0.5;
-    EXPECT_TRUE(plan.enabled());
-    plan.snapshotBitFlipRate = 0.0;
-    plan.snapshotMagicClobberRate = 1.0;
-    EXPECT_TRUE(plan.enabled());
-    EXPECT_NE(plan.summary().find("snap_clobber_magic"),
-              std::string::npos);
+    EXPECT_EQ(back.corruptContextRate, 0.5);
+    EXPECT_EQ(back.reorderBatchRate, 0.0625);
+    EXPECT_EQ(back.truncateBatchRate, 0.03125);
 }

@@ -13,7 +13,6 @@
 #include "auditor/cc_auditor.hh"
 #include "auditor/daemon.hh"
 #include "channels/bus_channel.hh"
-#include "channels/cache_channel.hh"
 #include "channels/divider_channel.hh"
 #include "detect/event_density.hh"
 #include "scenario/experiment.hh"

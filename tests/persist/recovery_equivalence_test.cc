@@ -18,7 +18,7 @@
 #include <thread>
 #include <vector>
 
-#include "faults/fault_injector.hh"
+#include "file_damage.hh"
 #include "fleet/fleet_auditor.hh"
 #include "persist/recovery.hh"
 #include "persist/snapshot_file.hh"
@@ -89,17 +89,17 @@ class RecoveryEquivalenceTest : public testing::Test
         return runFleet(p);
     }
 
-    /** Apply one FaultInjector mutation pass to a persisted file. */
-    SnapshotMutation
-    corruptFile(const std::string& path, const FaultPlan& plan) const
+    /** Damage a persisted file in place; returns how many bytes
+     *  changed or were lost. */
+    std::size_t
+    corruptFile(const std::string& path, FileDamage damage) const
     {
         bool ok = false;
         std::vector<std::uint8_t> bytes = readFileBytes(path, ok);
         EXPECT_TRUE(ok) << path;
-        FaultInjector injector(plan);
-        const SnapshotMutation m = injector.mutateSnapshotBytes(bytes);
+        const std::size_t damaged = damageImage(bytes, damage);
         EXPECT_TRUE(writeFileAtomic(path, bytes));
-        return m;
+        return damaged;
     }
 
     std::filesystem::path dir_;
@@ -286,11 +286,9 @@ TEST_F(RecoveryEquivalenceTest, BitFlippedSnapshotIsQuarantined)
     const FleetAuditReport crashed = crashRun(2, 5);
     ASSERT_TRUE(crashed.crashed);
 
-    FaultPlan plan;
-    plan.snapshotBitFlipRate = 1.0;
-    const SnapshotMutation m = corruptFile(
-        snapshotPath(PersistPolicy{.dir = dir_.string()}), plan);
-    ASSERT_EQ(m.bitsFlipped, 1u);
+    ASSERT_EQ(corruptFile(snapshotPath(PersistPolicy{.dir = dir_.string()}),
+                          FileDamage::FlipBit),
+              1u);
 
     const FleetAuditReport resumed = resumeRun(2);
     // The flip lands somewhere in the image: whatever defect class it
@@ -309,11 +307,9 @@ TEST_F(RecoveryEquivalenceTest, TornSnapshotIsQuarantined)
     const FleetAuditReport crashed = crashRun(2, 5);
     ASSERT_TRUE(crashed.crashed);
 
-    FaultPlan plan;
-    plan.snapshotTruncateRate = 1.0;
-    const SnapshotMutation m = corruptFile(
-        snapshotPath(PersistPolicy{.dir = dir_.string()}), plan);
-    ASSERT_TRUE(m.truncated);
+    ASSERT_GE(corruptFile(snapshotPath(PersistPolicy{.dir = dir_.string()}),
+                          FileDamage::TearTail),
+              1u);
 
     const FleetAuditReport resumed = resumeRun(2);
     EXPECT_GE(resumed.persist.defects.total(), 1u);
@@ -325,11 +321,9 @@ TEST_F(RecoveryEquivalenceTest, ClobberedMagicIsQuarantined)
     const FleetAuditReport crashed = crashRun(2, 5);
     ASSERT_TRUE(crashed.crashed);
 
-    FaultPlan plan;
-    plan.snapshotMagicClobberRate = 1.0;
-    const SnapshotMutation m = corruptFile(
-        snapshotPath(PersistPolicy{.dir = dir_.string()}), plan);
-    ASSERT_TRUE(m.magicClobbered);
+    ASSERT_GE(corruptFile(snapshotPath(PersistPolicy{.dir = dir_.string()}),
+                          FileDamage::ClobberMagic),
+              1u);
 
     const FleetAuditReport resumed = resumeRun(2);
     // A clobbered header *could* still decode as the original magic by
@@ -344,10 +338,8 @@ TEST_F(RecoveryEquivalenceTest, TornJournalTailIsDiscardedNotFatal)
     const FleetAuditReport crashed = crashRun(2, 5);
     ASSERT_TRUE(crashed.crashed);
 
-    FaultPlan plan;
-    plan.snapshotTruncateRate = 1.0;
     corruptFile(journalPath(PersistPolicy{.dir = dir_.string()}),
-                plan);
+                FileDamage::TearTail);
 
     const FleetAuditReport resumed = resumeRun(2);
     // The journal's intact prefix (possibly empty) still counts; the
@@ -362,12 +354,10 @@ TEST_F(RecoveryEquivalenceTest, EverythingCorruptedFallsBackToColdStart)
     const FleetAuditReport crashed = crashRun(2, 6);
     ASSERT_TRUE(crashed.crashed);
 
-    FaultPlan plan;
-    plan.snapshotMagicClobberRate = 1.0;
     corruptFile(snapshotPath(PersistPolicy{.dir = dir_.string()}),
-                plan);
+                FileDamage::ClobberMagic);
     corruptFile(journalPath(PersistPolicy{.dir = dir_.string()}),
-                plan);
+                FileDamage::ClobberMagic);
 
     const FleetAuditReport resumed = resumeRun(2);
     EXPECT_GE(resumed.persist.defects.badMagic, 2u);

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "channels/tlb_channel.hh"
+#include "channels/prime_probe.hh"
 #include "scenario/experiment.hh"
 
 namespace cchunter
@@ -37,7 +37,7 @@ TEST(TlbScenarioTest, DetectsOscillationAndDecodes)
     const OnlineAuditResult r = run.result();
     EXPECT_TRUE(r.finalVerdicts[0].oscillation.detected);
     EXPECT_FALSE(run.daemon().conflictRecords(0).empty());
-    EXPECT_FALSE(dynamic_cast<const TlbSpy&>(*run.spy()).ratios().empty());
+    EXPECT_FALSE(dynamic_cast<const PrimeProbeSpy&>(*run.spy()).ratios().empty());
     EXPECT_GT(run.machine().mem().tlb(0).conflicts(), 0u);
     EXPECT_LT(r.channel.wireBitErrorRate, 0.2);
     // No protocol: the wire is the payload and both error rates agree.
