@@ -552,84 +552,6 @@ BM_SlidingWindowRecompute(benchmark::State& state)
 }
 BENCHMARK(BM_SlidingWindowRecompute)->Unit(benchmark::kMillisecond);
 
-std::vector<std::vector<double>>
-makeBatchSeries(std::size_t count)
-{
-    Rng rng(53);
-    std::vector<std::vector<double>> series;
-    series.reserve(count);
-    for (std::size_t s = 0; s < count; ++s) {
-        std::vector<double> v;
-        v.reserve(4096);
-        const std::size_t period = 64 << (s % 4);
-        for (std::size_t i = 0; i < 4096; ++i) {
-            double x = (i / (period / 2)) % 2 ? 1.0 : 0.0;
-            if (rng.nextBool(0.05))
-                x = 1.0 - x;
-            v.push_back(x);
-        }
-        series.push_back(std::move(v));
-    }
-    return series;
-}
-
-/**
- * Batched end-of-run transforms: range(0) same-shape series through
- * one shared plan and scratch arena (the fleet's per-shard pass).
- */
-void
-BM_BatchedCorrelograms(benchmark::State& state)
-{
-    const auto series =
-        makeBatchSeries(static_cast<std::size_t>(state.range(0)));
-    std::vector<const std::vector<double>*> pointers;
-    for (const auto& s : series)
-        pointers.push_back(&s);
-    for (auto _ : state) {
-        auto grams = autocorrelogramsBatched(pointers, 1000);
-        benchmark::DoNotOptimize(grams);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(series.size()));
-}
-BENCHMARK(BM_BatchedCorrelograms)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * The unbatched reference: each series grows its own cold scratch
- * buffers (the thread-local plan cache stays warm either way, so the
- * delta against BM_BatchedCorrelograms isolates what the shared
- * arena buys).
- */
-void
-BM_IndependentCorrelograms(benchmark::State& state)
-{
-    const auto series =
-        makeBatchSeries(static_cast<std::size_t>(state.range(0)));
-    for (auto _ : state) {
-        std::vector<std::vector<double>> grams;
-        grams.reserve(series.size());
-        for (const auto& s : series) {
-            FftScratch scratch;
-            std::vector<double> gram;
-            autocorrelogramFft(s, 1000, scratch, gram);
-            benchmark::DoNotOptimize(gram.data());
-            grams.push_back(std::move(gram));
-        }
-        benchmark::DoNotOptimize(grams);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(series.size()));
-}
-BENCHMARK(BM_IndependentCorrelograms)
-    ->Arg(8)
-    ->Arg(64)
-    ->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
 /** End-to-end contention verdict over a 512-quantum window. */
 void
 BM_ContentionVerdict512(benchmark::State& state)

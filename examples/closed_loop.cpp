@@ -7,7 +7,7 @@
  * would have paid at each rung of the ladder.
  *
  * Usage: closed_loop [quanta=8] [quantum=2500000] [seed=1]
- *                    [bandwidth=10000]
+ *                    [bandwidth=10000] [faults.drop_quantum=0.1 ...]
  */
 
 #include <cstdio>
@@ -34,6 +34,7 @@ run(const Config& cfg)
     options.scenario.bandwidthBps =
         cfg.getDouble("bandwidth", 10000.0);
     options.scenario.noiseProcesses = 0;
+    options.scenario.faults = FaultPlan::fromConfig(cfg);
     options.online.clusteringIntervalQuanta = 4;
 
     // 1. Detect and respond in the same run: the first alarm triggers

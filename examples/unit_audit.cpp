@@ -11,6 +11,7 @@
  *
  * Usage: unit_audit [workload=tlb] [bandwidth=1000] [quanta=8]
  *                   [protocol.enabled=true] [protocol.repeats=3]
+ *                   [faults.drop_quantum=0.1 ...]
  *
  * An unknown workload name fails fast and lists the valid names,
  * straight from the registry.
@@ -39,6 +40,7 @@ run(const Config& cfg)
     options.scenario.seed = cfg.getUint("seed", 7);
     options.scenario.noiseProcesses =
         static_cast<unsigned>(cfg.getUint("noise", 3));
+    options.scenario.faults = FaultPlan::fromConfig(cfg);
 
     // The link-layer protocol adversary: preamble sync, frame
     // retransmission, Hamming(7,4) — available to every channel.

@@ -172,24 +172,6 @@ autocorrelogram(const std::vector<double>& series, std::size_t max_lag)
     return autocorrelogramNaive(series, max_lag);
 }
 
-std::vector<std::vector<double>>
-autocorrelogramsBatched(
-    const std::vector<const std::vector<double>*>& series,
-    std::size_t max_lag)
-{
-    // One arena for the whole batch; the thread-local plan cache
-    // means every same-padded-size series reuses one twiddle table.
-    FftScratch scratch;
-    std::vector<std::vector<double>> out(series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        if (autocorrelogramUsesFft(series[i]->size(), max_lag))
-            autocorrelogramFft(*series[i], max_lag, scratch, out[i]);
-        else
-            out[i] = autocorrelogramNaive(*series[i], max_lag);
-    }
-    return out;
-}
-
 std::vector<AutocorrPeak>
 findPeaks(const std::vector<double>& correlogram, double min_value,
           std::size_t min_separation)

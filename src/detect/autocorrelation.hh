@@ -64,18 +64,6 @@ void autocorrelogramFft(const std::vector<double>& series,
                         std::size_t max_lag, FftScratch& scratch,
                         std::vector<double>& out);
 
-/**
- * Correlograms of many series through one shared plan and scratch
- * arena (the fleet's per-tenant deferred pass).  Each series is
- * dispatched exactly as autocorrelogram() would dispatch it (naive
- * below the FFT thresholds), and each result is bit-identical to the
- * corresponding independent call — batching shares the twiddle
- * tables and buffers, never the dataflow of one series.
- */
-std::vector<std::vector<double>> autocorrelogramsBatched(
-    const std::vector<const std::vector<double>*>& series,
-    std::size_t max_lag);
-
 /** Minimum series length before the FFT path is considered. */
 constexpr std::size_t kFftAutocorrMinSeries = 256;
 

@@ -1,7 +1,5 @@
 #include "faults/fault_injector.hh"
 
-#include <sstream>
-
 namespace cchunter
 {
 
@@ -21,25 +19,6 @@ constexpr std::uint64_t aliasSalt = 0x626c6f6f'6d616c73ull;
 constexpr std::uint64_t contextIdSpace = 8;
 
 } // namespace
-
-std::uint64_t
-FaultInjectionStats::total() const
-{
-    return droppedQuanta + duplicatedQuanta + truncatedBatches +
-           reorderedBatches + corruptedContexts + bloomAliases;
-}
-
-std::string
-FaultInjectionStats::summary() const
-{
-    std::ostringstream os;
-    os << "dropped " << droppedQuanta << " quanta, duplicated "
-       << duplicatedQuanta << ", truncated " << truncatedBatches
-       << " batches (" << truncatedEvents << " events), reordered "
-       << reorderedBatches << ", corrupted " << corruptedContexts
-       << " contexts, " << bloomAliases << " bloom aliases";
-    return os.str();
-}
 
 FaultInjector::FaultInjector(FaultPlan plan)
     : plan_(plan),

@@ -19,7 +19,6 @@
 #define CCHUNTER_FAULTS_FAULT_INJECTOR_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "auditor/conflict_event.hh"
@@ -39,12 +38,6 @@ struct FaultInjectionStats
     std::uint64_t reorderedBatches = 0; //!< conflict batches shuffled
     std::uint64_t corruptedContexts = 0; //!< context IDs overwritten
     std::uint64_t bloomAliases = 0;     //!< forced Bloom false positives
-
-    /** Sum of all fault firings. */
-    std::uint64_t total() const;
-
-    /** Human-readable one-line summary. */
-    std::string summary() const;
 };
 
 /** What one conflict-batch mutation did. */

@@ -4,29 +4,17 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <system_error>
-#include <thread>
 
 #include "scenario/experiment.hh"
 #include "units/unit_registry.hh"
-#include "util/bounded_queue.hh"
 #include "util/thread_pool.hh"
 
 namespace cchunter
 {
-
-namespace
-{
-
-/** Capacity of each shard's batch hand-off queue.  A full queue
- *  blocks the shard worker, so no batch is ever lost. */
-constexpr std::size_t kBatchQueueCapacity = 4;
-
-} // namespace
 
 FleetAuditor::FleetAuditor(const TenantRegistry& registry,
                            FleetAuditParams params)
@@ -192,76 +180,16 @@ FleetAuditor::run()
                 journalFrame(completed.frame(i));
     }
 
-    using Queue = BoundedQueue<TenantAlarmBatch>;
-    std::vector<std::unique_ptr<Queue>> queues;
-    queues.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-        queues.push_back(std::make_unique<Queue>(kBatchQueueCapacity));
-
-    // One collector per shard drains that shard's hand-off queue into
-    // the (order-insensitive) aggregator and keeps shard-local tallies
-    // — no cross-thread sharing beyond the queue, the aggregator's own
-    // lock and the persistence lock.  Journal-before-ingest: a batch
-    // only ever reaches the aggregator after it is durable, so a kill
-    // can lose in-memory state but never disk/memory agreement.
-    std::vector<std::thread> collectors;
-    collectors.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-        collectors.emplace_back([&, s]() {
-            while (auto batch = queues[s]->pop()) {
-                if (crashed.load(std::memory_order_acquire))
-                    continue; // a killed process does nothing more
-                if (persistOn) {
-                    std::lock_guard<std::mutex> lock(persistMutex);
-                    if (crashed.load(std::memory_order_acquire))
-                        continue;
-                    if (journalFrame(completed.add(*batch)))
-                        ++persistedThisRun;
-                    ++sinceCheckpoint;
-                    const std::size_t interval =
-                        params_.persist.checkpointIntervalBatches;
-                    if (interval != 0 && sinceCheckpoint >= interval) {
-                        // A refused snapshot keeps the journal and
-                        // waits a full interval before the next try.
-                        if (writeSnapshot(false, nullptr,
-                                          restoredResponse
-                                              ? &*restoredResponse
-                                              : nullptr))
-                            resetJournal();
-                        sinceCheckpoint = 0;
-                    }
-                    if (crashAfter != 0 &&
-                        persistedThisRun >= crashAfter) {
-                        // The Nth journaled batch is durable; the
-                        // "process" dies here.  Later batches are
-                        // dropped, the run never finalizes.
-                        crashed.store(true,
-                                      std::memory_order_release);
-                        journal.close();
-                    }
-                }
-                report.shards[s].alarms += batch->alarms.size();
-                report.shards[s].offlineDetected +=
-                    batch->offlineDetectedUnits;
-                shardQuanta[s] += batch->quantaRecorded;
-                aggregator.ingest(std::move(*batch));
-            }
-        });
-    }
-
-    const auto closeAndJoin = [&]() {
-        for (auto& queue : queues)
-            queue->close();
-        for (std::thread& collector : collectors)
-            if (collector.joinable())
-                collector.join();
-    };
-
-    // Each tenant's batch goes to the collector as soon as its audit
-    // (and, with batching on, its deferred transforms) is done, so a
-    // kill loses at most the hand-off queue's depth of simulated
-    // tenants per shard.  Alarms — and hence incidents — are
-    // identical with batching on or off.
+    // Each shard worker handles a tenant's batch itself before it
+    // starts the next tenant: it journals the batch, writes the
+    // interval checkpoint when one is due, checks the kill switch and
+    // then ingests into the (order-insensitive, locked) aggregator.
+    // Journal-before-ingest: a batch only ever reaches the aggregator
+    // after it is durable, so a kill can lose in-memory state but
+    // never disk/memory agreement.  A kill after K journaled batches
+    // leaves at most one audited, unjournaled tenant on each other
+    // shard.  Alarms — and hence incidents — are identical with
+    // batching on or off.
     const auto runShard = [&](std::size_t s) {
         for (std::size_t i = 0; i < plan[s].size(); ++i) {
             if (crashed.load(std::memory_order_acquire))
@@ -293,18 +221,46 @@ FleetAuditor::run()
             batch.quantaRecorded = result.quantaRecorded;
             for (const UnitOutcome& unit : result.finalVerdicts)
                 batch.offlineDetectedUnits += unit.detected ? 1 : 0;
-            queues[s]->push(std::move(batch));
+
+            if (persistOn) {
+                std::lock_guard<std::mutex> lock(persistMutex);
+                if (crashed.load(std::memory_order_acquire))
+                    break; // a killed process does nothing more
+                if (journalFrame(completed.add(batch)))
+                    ++persistedThisRun;
+                ++sinceCheckpoint;
+                const std::size_t interval =
+                    params_.persist.checkpointIntervalBatches;
+                if (interval != 0 && sinceCheckpoint >= interval) {
+                    // A refused snapshot keeps the journal and waits
+                    // a full interval before the next try.
+                    if (writeSnapshot(false, nullptr,
+                                      restoredResponse
+                                          ? &*restoredResponse
+                                          : nullptr))
+                        resetJournal();
+                    sinceCheckpoint = 0;
+                }
+                if (crashAfter != 0 && persistedThisRun >= crashAfter) {
+                    // The Nth journaled batch is durable; the
+                    // "process" dies here.  Later batches are
+                    // dropped, the run never finalizes.
+                    crashed.store(true, std::memory_order_release);
+                    journal.close();
+                }
+            }
+            report.shards[s].alarms += batch.alarms.size();
+            report.shards[s].offlineDetected +=
+                batch.offlineDetectedUnits;
+            shardQuanta[s] += batch.quantaRecorded;
+            aggregator.ingest(std::move(batch));
         }
     };
 
+    // A tenant audit that throws propagates out of parallelFor, which
+    // rethrows only once every in-flight shard body has returned.
     ThreadPool pool(params_.workerThreads);
-    try {
-        pool.parallelFor(shards, runShard);
-    } catch (...) {
-        closeAndJoin();
-        throw;
-    }
-    closeAndJoin();
+    pool.parallelFor(shards, runShard);
 
     if (!crashed.load()) {
         aggregator.finalize(report.incidents);
@@ -391,10 +347,8 @@ FleetAuditor::run()
     report.alarmsFiltered = aggregator.alarmsFiltered();
     report.pipeline = aggregator.pipeline();
     report.degraded = aggregator.degraded();
-    for (std::size_t s = 0; s < shards; ++s) {
-        report.shards[s].queueHighWater = queues[s]->highWaterMark();
-        report.quantaTotal += shardQuanta[s];
-    }
+    for (const std::uint64_t quanta : shardQuanta)
+        report.quantaTotal += quanta;
     return report;
 }
 
@@ -434,9 +388,6 @@ FleetAuditReport::statEntries() const
         entries.push_back({prefix + "alarms",
                            static_cast<double>(shard.alarms),
                            "raw alarms collected on this shard"});
-        entries.push_back({prefix + "queueHighWater",
-                           static_cast<double>(shard.queueHighWater),
-                           "deepest hand-off backlog"});
         entries.push_back({prefix + "offlineDetected",
                            static_cast<double>(shard.offlineDetected),
                            "end-of-run unit detections"});

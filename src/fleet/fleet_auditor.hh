@@ -5,11 +5,12 @@
  * Every tenant in the registry is one independent simulated machine
  * under live audit (scenario/runOnlineAudit).  The auditor partitions
  * the fleet into shards with the registry's deterministic assignment
- * rule, runs the shards concurrently on a ThreadPool (the calling
- * thread participates), and hands each tenant's alarm batch to a
- * per-shard BoundedQueue drained by a collector thread into the
- * AlarmAggregator.  Because each tenant run is deterministic, ingest
- * is order-insensitive and finalization is canonical, the resulting
+ * rule and runs the shards concurrently on a ThreadPool (the calling
+ * thread participates).  The shard worker that audited a tenant
+ * journals that tenant's alarm batch (with persistence on) and
+ * ingests it into the AlarmAggregator before it starts the next
+ * tenant.  Because each tenant run is deterministic, ingest is
+ * order-insensitive and finalization is canonical, the resulting
  * incident stream is bit-identical for any shard count, worker count
  * or per-tenant analysis thread count — parallelism buys wall-clock
  * time, never different answers.
@@ -123,7 +124,7 @@ struct FleetAuditParams
      * Run tenants with deferred end-of-run cache verdicts: the shard
      * worker resolves each tenant's deferred series through
      * finalizeDeferredOscillations (the thread's cached FFT plans)
-     * right after that tenant's audit, before handing its batch off.
+     * right after that tenant's audit, before it ingests the batch.
      * Outcomes are identical to the inline transforms — incidents
      * derive from the (unaffected) alarm stream either way, so the
      * cross-shard bit-identity contract is preserved.  Config key:
@@ -136,8 +137,8 @@ struct FleetAuditParams
 
     /**
      * Crash-safe persistence (persist/recovery.hh): with a directory
-     * configured, every collected batch is journaled before it can
-     * matter, the journal is compacted into an atomic snapshot every
+     * configured, every tenant's batch is journaled before it is
+     * ingested, the journal is compacted into an atomic snapshot every
      * checkpointIntervalBatches, and `resume` replays whatever
      * survived a previous kill — the resumed run's incident stream is
      * byte-identical to an uninterrupted one.  Config keys:
@@ -158,14 +159,21 @@ struct FleetAuditParams
     std::uint64_t simulateCrashAfterBatches = 0;
 };
 
-/** One shard's hand-off accounting. */
+/**
+ * One shard's accounting.  Recovery fills `recoveredTenants` and its
+ * batches' tallies before the shard pool starts; after that only the
+ * shard's own worker writes these fields.
+ */
 struct ShardStats
 {
     std::size_t shard = 0;
     std::size_t tenants = 0;         //!< tenants assigned by the plan
-    std::uint64_t tenantsRun = 0;    //!< tenants audited, handed off
-    std::uint64_t alarms = 0;        //!< raw alarms collected
-    std::size_t queueHighWater = 0;  //!< deepest hand-off backlog
+    std::uint64_t tenantsRun = 0;    //!< tenants this run audited
+    std::uint64_t alarms = 0;        //!< raw alarms ingested
+    /** Always 0: the worker ingests each batch itself, so no batch
+     *  waits in a queue.  Kept only because fleetbench's frozen
+     *  traced replica still reads it (fleet.queue_high_water). */
+    std::size_t queueHighWater = 0;
     std::uint64_t offlineDetected = 0; //!< end-of-run unit detections
     std::uint64_t batchedSeries = 0; //!< series through the batched FFT
     std::uint64_t recoveredTenants = 0; //!< tenants restored, not run

@@ -214,28 +214,6 @@ TEST(AutocorrReferenceFuzzTest, DispatchByteIdentical)
     });
 }
 
-TEST(AutocorrReferenceFuzzTest, BatchedCorrelogramsByteIdentical)
-{
-    SimdToggleGuard guard;
-    std::vector<std::vector<double>> owned;
-    std::uint64_t seed = 9500;
-    for (const SeriesKind kind : kKinds)
-        for (const std::size_t n : kLengths)
-            owned.push_back(makeSeries(kind, n, ++seed));
-    std::vector<const std::vector<double>*> series;
-    for (const auto& s : owned)
-        series.push_back(&s);
-    for (const bool simd : {true, false}) {
-        setSimdEnabled(simd);
-        const auto grams = autocorrelogramsBatched(series, 1000);
-        ASSERT_EQ(grams.size(), owned.size());
-        for (std::size_t i = 0; i < owned.size(); ++i)
-            ASSERT_TRUE(sameBytes(
-                grams[i], reference::autocorrelogram(owned[i], 1000)))
-                << "series " << i << " simd=" << simd;
-    }
-}
-
 TEST(AutocorrReferenceFuzzTest, ProducersLeaveLagsPastTheSeriesAtZero)
 {
     forEachCase([](SeriesKind kind, std::size_t n, std::size_t lag,

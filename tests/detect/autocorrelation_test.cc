@@ -205,44 +205,11 @@ TEST(FindPeaksTest, ChainOfClosePeaksKeepsRunningMaximum)
     EXPECT_DOUBLE_EQ(peaks[0].value, 0.95);
 }
 
-TEST(AutocorrelogramBatchedTest, BitIdenticalToIndependentCalls)
-{
-    Rng rng(61);
-    // A mix straddling the FFT dispatch thresholds: short series take
-    // the naive path inside the batch, long ones share the plan.
-    std::vector<std::vector<double>> series;
-    for (const std::size_t n : {16u, 100u, 300u, 2048u, 4096u}) {
-        std::vector<double> s;
-        s.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            s.push_back(rng.nextDouble() < 0.5 ? 0.0 : 1.0);
-        series.push_back(std::move(s));
-    }
-    std::vector<const std::vector<double>*> pointers;
-    for (const auto& s : series)
-        pointers.push_back(&s);
-
-    const std::size_t max_lag = 128;
-    const auto batched = autocorrelogramsBatched(pointers, max_lag);
-    ASSERT_EQ(batched.size(), series.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        const auto independent = autocorrelogram(series[i], max_lag);
-        ASSERT_EQ(batched[i].size(), independent.size()) << "i=" << i;
-        for (std::size_t lag = 0; lag < independent.size(); ++lag)
-            EXPECT_EQ(batched[i][lag], independent[lag])
-                << "i=" << i << " lag=" << lag;
-    }
-}
-
-TEST(AutocorrelogramBatchedTest, EmptyBatchYieldsNothing)
-{
-    EXPECT_TRUE(autocorrelogramsBatched({}, 32).empty());
-}
-
 TEST(AutocorrelogramFftTest, ScratchReuseAcrossSizesBitIdentical)
 {
-    // One scratch arena across differently-sized series (the batched
-    // pass's access pattern): every result must match the fresh call.
+    // One scratch arena across differently-sized series (a worker
+    // thread's thread-local arena sees this pattern): every result
+    // must match the fresh call.
     Rng rng(62);
     FftScratch scratch;
     std::vector<double> out;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <stdexcept>
+#include <string>
+
 #include "fleet/fleet_auditor.hh"
 #include "scenario/experiment.hh"
 #include "util/thread_pool.hh"
@@ -105,6 +109,41 @@ TEST(FleetAuditorTest, IncidentStreamIndependentOfShardAndThreadCount)
         runWith(2, ThreadPool::hardwareConcurrency());
     EXPECT_EQ(threaded.incidents.streamText(), text);
     EXPECT_EQ(threaded.incidents.streamHash(), hash);
+}
+
+TEST(FleetAuditorTest, ThrowingTenantFailsTheRun)
+{
+    // A tenant whose audit throws (here: a clustering interval of 0,
+    // which enableOnlineAnalysis rejects) fails the whole run.  The
+    // throw leaves its shard worker and reaches the caller through
+    // the pool once every other shard has returned, with or without
+    // a journal open — no thread is left behind to hang on.
+    const TenantRegistry healthy =
+        TenantRegistry::synthetic(smallFleet(6));
+    TenantRegistry registry;
+    for (TenantConfig tenant : healthy.tenants()) {
+        if (tenant.id == 2)
+            tenant.audit.online.clusteringIntervalQuanta = 0;
+        registry.add(std::move(tenant));
+    }
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) /
+        "cchunter_throwing_tenant";
+
+    for (const std::size_t shards : {1u, 2u}) {
+        for (const bool persist : {false, true}) {
+            std::filesystem::remove_all(dir);
+            FleetAuditParams params;
+            params.shards = shards;
+            params.workerThreads = 2;
+            if (persist)
+                params.persist.dir = dir.string();
+            FleetAuditor auditor(registry, params);
+            EXPECT_THROW(auditor.run(), std::runtime_error)
+                << "shards=" << shards << " persist=" << persist;
+        }
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(FleetAuditorTest, SharedSeedFleetCorrelatesAcrossTenants)

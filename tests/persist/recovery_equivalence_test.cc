@@ -514,55 +514,67 @@ TEST_F(RecoveryEquivalenceTest, NoFinalSnapshotKeepsTheJournal)
     EXPECT_EQ(resumed.incidents.streamHash(), kGoldenHash);
 }
 
-TEST_F(RecoveryEquivalenceTest, KillLosesAtMostTheHandOffQueueDepth)
+TEST_F(RecoveryEquivalenceTest, KillLosesOnlyTheTenantsInFlight)
 {
-    // Each tenant's batch is handed off as soon as it is audited, so
-    // a run killed after K journaled batches has audited at most K
-    // tenants, plus the hand-off queue's capacity, plus the one the
-    // shard worker was running — not the whole shard.  The resume
-    // then audits exactly the tenants that were not recovered.
+    // The shard worker that audited a tenant journals and ingests its
+    // batch before it starts the next tenant.  So a run killed after
+    // K journaled batches has audited those K tenants plus at most
+    // the one each other shard was running when the kill landed —
+    // never a backlog.  The resume then audits exactly the tenants
+    // that were not recovered.
     constexpr std::uint64_t kKillAfter = 4;
-    // The hand-off queue's capacity (kBatchQueueCapacity in
-    // src/fleet/fleet_auditor.cc).
-    constexpr std::uint64_t kQueueCapacity = 4;
     SyntheticFleetOptions fleet;
     fleet.tenants = 24;
     fleet.quanta = 4;
     const TenantRegistry registry = TenantRegistry::synthetic(fleet);
+    const auto tenantsRun = [](const FleetAuditReport& report) {
+        std::uint64_t run = 0;
+        for (const ShardStats& shard : report.shards)
+            run += shard.tenantsRun;
+        return run;
+    };
 
-    for (const bool batched : {true, false}) {
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-        FleetAuditParams base;
-        base.shards = 1;
-        base.workerThreads = 2;
-        base.batchedFft = batched;
-        const std::string uninterrupted =
-            FleetAuditor(registry, base).run().incidents.streamText();
-        ASSERT_FALSE(uninterrupted.empty());
+    for (const std::size_t shards : {1u, 2u}) {
+        for (const bool batched : {true, false}) {
+            std::filesystem::remove_all(dir_);
+            std::filesystem::create_directories(dir_);
+            const std::string where = "shards=" +
+                                      std::to_string(shards) +
+                                      " batched=" +
+                                      std::to_string(batched);
+            FleetAuditParams base;
+            base.shards = shards;
+            base.workerThreads = 2;
+            base.batchedFft = batched;
+            const std::string uninterrupted =
+                FleetAuditor(registry, base).run().incidents.streamText();
+            ASSERT_FALSE(uninterrupted.empty());
 
-        FleetAuditParams p = params(1, 1);
-        p.batchedFft = batched;
-        p.simulateCrashAfterBatches = kKillAfter;
-        const FleetAuditReport killed = FleetAuditor(registry, p).run();
-        ASSERT_TRUE(killed.crashed) << "batched=" << batched;
-        EXPECT_GE(killed.shards[0].tenantsRun, kKillAfter);
-        EXPECT_LE(killed.shards[0].tenantsRun,
-                  kKillAfter + kQueueCapacity + 1)
-            << "batched=" << batched;
+            FleetAuditParams p = params(shards, 1);
+            p.batchedFft = batched;
+            p.simulateCrashAfterBatches = kKillAfter;
+            const FleetAuditReport killed =
+                FleetAuditor(registry, p).run();
+            ASSERT_TRUE(killed.crashed) << where;
+            EXPECT_GE(tenantsRun(killed), kKillAfter) << where;
+            EXPECT_LE(tenantsRun(killed), kKillAfter + shards - 1)
+                << where;
+            EXPECT_EQ(killed.tenantsAudited, kKillAfter) << where;
 
-        p.simulateCrashAfterBatches = 0;
-        p.persist.resume = true;
-        const FleetAuditReport resumed =
-            FleetAuditor(registry, p).run();
-        EXPECT_FALSE(resumed.crashed);
-        EXPECT_EQ(resumed.persist.restoredTenants, kKillAfter);
-        EXPECT_EQ(resumed.shards[0].tenantsRun,
-                  fleet.tenants - resumed.shards[0].recoveredTenants)
-            << "batched=" << batched;
-        EXPECT_EQ(resumed.incidents.streamText(), uninterrupted)
-            << "batched=" << batched;
-        EXPECT_TRUE(hasStat(resumed.statEntries(), "fleet.shard0.run"));
+            p.simulateCrashAfterBatches = 0;
+            p.persist.resume = true;
+            const FleetAuditReport resumed =
+                FleetAuditor(registry, p).run();
+            EXPECT_FALSE(resumed.crashed) << where;
+            EXPECT_EQ(resumed.persist.restoredTenants, kKillAfter)
+                << where;
+            EXPECT_EQ(tenantsRun(resumed), fleet.tenants - kKillAfter)
+                << where;
+            EXPECT_EQ(resumed.incidents.streamText(), uninterrupted)
+                << where;
+            EXPECT_TRUE(
+                hasStat(resumed.statEntries(), "fleet.shard0.run"));
+        }
     }
 }
 

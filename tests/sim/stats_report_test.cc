@@ -132,7 +132,7 @@ TEST(StatsReportTest, ParseRoundTripsNestedPrefixHierarchy)
     const std::vector<StatEntry> entries = {
         {"fleet.tenants", 16.0, "tenant machines in the plan"},
         {"fleet.shard0.tenants", 8.0, "tenants on shard 0"},
-        {"fleet.shard0.queueHighWater", 3.0, "deepest backlog"},
+        {"fleet.shard0.recovered", 3.0, "tenants restored"},
         {"fleet.shard1.tenants", 8.0, "tenants on shard 1"},
         {"fleet.shard1.latencyMeanUs.analysis", 12.625,
          "mean analysis latency"},
